@@ -1,28 +1,25 @@
 #!/usr/bin/env python
-"""Benchmark the matcher backends at ultra-scale and emit BENCH docs.
+"""Benchmark the circuit matcher at ultra-scale and emit a BENCH doc.
 
 Runs a multi-timestep re-matching workload — the temporal evaluator's
 access pattern — over the paper apps' sparse link structures at 32K
-ranks (paratec's all-to-all is capped; see ``--paratec-cap``) for each
-backend, and writes one ``BENCH_matcher_<backend>.json`` per backend
-into ``--out`` (default ``benchmarks/``; never the repo root, which
-would poison the pipeline's cost-model calibration and the tier-1 perf
-guard's newest-snapshot glob).
+ranks (paratec's all-to-all is capped; see ``--paratec-cap``) and writes
+``BENCH_matcher_vector.json`` into ``--out`` (default ``benchmarks/``;
+never the repo root, which would poison the pipeline's cost-model
+calibration and the tier-1 perf guard's newest-snapshot glob).
 
-The docs share stage names across backends, so the standard comparer
-turns any pair into a speedup table::
+Stage names match the committed baseline, so the standard comparer
+guards against a regression::
 
-    python scripts/bench_matcher.py --out benchmarks
+    python scripts/bench_matcher.py --out scale-artifacts
     python scripts/bench_compare.py \
-        benchmarks/BENCH_matcher_scalar.json \
-        benchmarks/BENCH_matcher_incremental.json \
-        --max-regress 100000 --record benchmarks/matcher_speedup.json
+        benchmarks/BENCH_matcher_vector.json \
+        scale-artifacts/BENCH_matcher_vector.json \
+        --max-regress 150 --min-wall 1.0
 
 Per app the workload is ``--steps`` weight vectors: a hashed base, a ~1%
-sparse delta, an unchanged repeat, then an order-preserving rescale —
-chosen so the incremental backend's cache tiers (unchanged hit, order
-reuse, full resort) all get exercised. Every backend is asserted to
-produce identical circuits on every step before any timing is reported.
+sparse delta, an unchanged repeat, then an order-preserving rescale.
+Every step is a from-scratch match.
 """
 
 from __future__ import annotations
@@ -36,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from hfast.apps import _LBMHD_OFFSETS, _factor2, _factor3, _ghost_pairs_vec
-from hfast.matcher import MATCHERS, IncrementalMatcher, match_edges
+from hfast.apps import _LBMHD_OFFSETS, _factor2, _factor3, _ghost_pairs
+from hfast.matcher import match_edges
 
 DEFAULT_NRANKS = 32768
 DEFAULT_STEPS = 4
@@ -56,7 +53,7 @@ def _dedup(src: np.ndarray, dst: np.ndarray, n: int):
 def topology(app: str, nranks: int, paratec_cap: int):
     """(src, dst, effective_nranks) link structure for one paper app."""
     if app == "cactus":
-        ranks, peers = _ghost_pairs_vec(nranks, _factor3(nranks))
+        ranks, peers = _ghost_pairs(nranks, _factor3(nranks))
         return (*_dedup(ranks, peers, nranks), nranks)
     if app == "gtc":
         r = np.arange(nranks, dtype=np.int64)
@@ -106,38 +103,25 @@ def step_weights(src: np.ndarray, dst: np.ndarray, n: int, steps: int) -> list[n
             w = current.copy()
             touch = rng.choice(len(w), size=max(1, len(w) // 100), replace=False)
             w[touch] = hashed_weights(src[touch], dst[touch], n, salt=step + 1)
-        elif kind == 1:  # unchanged step: the incremental cache hit
+        elif kind == 1:  # unchanged step
             w = current.copy()
-        else:  # order-preserving rescale: sort reuse without a cache hit
+        else:  # order-preserving rescale
             w = current * 2.0
         out.append(w)
         current = w
     return out
 
 
-def run_backend(
-    backend: str,
+def run_matcher(
     universes: dict[str, tuple[np.ndarray, np.ndarray, int, list[np.ndarray]]],
     budget: int,
-) -> tuple[list[dict], dict[str, list]]:
-    """Time the step sequence per app; return (stages, per-step circuits)."""
+) -> list[dict]:
+    """Time the step sequence per app; one stage per app."""
     stages: list[dict] = []
-    outputs: dict[str, list] = {}
     for app, (src, dst, n, weight_steps) in universes.items():
-        inc = (
-            IncrementalMatcher(src, dst, n, bound=budget)
-            if backend == "incremental"
-            else None
-        )
-        results = []
         start = time.perf_counter()
         for w in weight_steps:
-            if inc is not None:
-                # The matcher stores edges (src, dst)-ascending; feed the
-                # weights in that same order.
-                results.append(inc.rematch(w[inc.input_order]))
-            else:
-                results.append(match_edges(src, dst, w, n, bound=budget, backend=backend))
+            match_edges(src, dst, w, n, bound=budget)
         wall = time.perf_counter() - start
         stages.append(
             {
@@ -148,8 +132,7 @@ def run_backend(
                 "nranks": n,
             }
         )
-        outputs[app] = results
-    return stages, outputs
+    return stages
 
 
 def git_sha() -> str | None:
@@ -170,7 +153,7 @@ def git_sha() -> str | None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="benchmark matcher backends over ultra-scale app topologies"
+        description="benchmark the circuit matcher over ultra-scale app topologies"
     )
     parser.add_argument("--nranks", type=int, default=DEFAULT_NRANKS)
     parser.add_argument("--steps", type=int, default=DEFAULT_STEPS,
@@ -180,17 +163,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--paratec-cap", type=int, default=DEFAULT_PARATEC_CAP,
                         help="rank cap for paratec's O(n^2) all-to-all")
     parser.add_argument("--apps", default="cactus,gtc,lbmhd,paratec")
-    parser.add_argument("--backends", default=",".join(MATCHERS))
     parser.add_argument("--out", type=Path, default=Path("benchmarks"),
-                        help="directory for BENCH_matcher_<backend>.json")
+                        help="directory for BENCH_matcher_vector.json")
     args = parser.parse_args(argv)
 
     apps = [a.strip() for a in args.apps.split(",") if a.strip()]
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    for b in backends:
-        if b not in MATCHERS:
-            parser.error(f"unknown backend {b!r} (expected one of {MATCHERS})")
-
     universes = {}
     for app in apps:
         src, dst, n = topology(app, args.nranks, args.paratec_cap)
@@ -201,41 +178,28 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bench_matcher: {app}: nranks={n} edges={len(src)} steps={args.steps}")
 
     args.out.mkdir(parents=True, exist_ok=True)
-    sha = git_sha()
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    reference: dict[str, list] | None = None
-    ref_backend = ""
-    for backend in backends:
-        stages, outputs = run_backend(backend, universes, args.budget)
-        if reference is None:
-            reference, ref_backend = outputs, backend
-        else:
-            for app, results in outputs.items():
-                assert results == reference[app], (
-                    f"{backend} diverged from {ref_backend} on {app}"
-                )
-        total = sum(st["wall_s"] for st in stages)
-        doc = {
-            "git_sha": sha,
-            "timestamp": stamp,
-            "workers": 1,
-            "backend": backend,
-            "workload": {
-                "nranks": args.nranks,
-                "steps": args.steps,
-                "budget": args.budget,
-                "paratec_cap": args.paratec_cap,
-                "apps": apps,
-            },
-            "profile": {
-                "total_wall_s": round(total, 6),
-                "stages": stages,
-                "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-            },
-        }
-        path = args.out / f"BENCH_matcher_{backend}.json"
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"bench_matcher: {backend}: total {total:.2f}s -> {path}")
+    stages = run_matcher(universes, args.budget)
+    total = sum(st["wall_s"] for st in stages)
+    doc = {
+        "git_sha": git_sha(),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        "workers": 1,
+        "workload": {
+            "nranks": args.nranks,
+            "steps": args.steps,
+            "budget": args.budget,
+            "paratec_cap": args.paratec_cap,
+            "apps": apps,
+        },
+        "profile": {
+            "total_wall_s": round(total, 6),
+            "stages": stages,
+            "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        },
+    }
+    path = args.out / "BENCH_matcher_vector.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"bench_matcher: total {total:.2f}s -> {path}")
     return 0
 
 

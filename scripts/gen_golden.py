@@ -16,11 +16,9 @@ the communication structure; commit the diff together with the change.
 
 The fixtures pin synthesizer output (matrices, totals, topology), not
 matcher internals — the interconnect evaluations derived from them are
-pinned separately by the differential suite. The columnar matcher
-rewrite (scalar/vector/incremental backends) therefore required no
-regeneration: every backend reproduces the previous circuit assignments
-byte-for-byte on all of these fixtures, which
-``tests/test_matcher_differential.py`` asserts on every run.
+pinned by the summary digests in ``tests/test_golden_matrices.py`` and
+by the differential suite, which checks the matcher against the
+reference matcher in ``tests/oracles.py`` on all of these fixtures.
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ Subcommands::
     python -m hfast analyze [--apps a,b] [--scales 16,64] [--profile]
                             [--workers N] [--shard i/m] [--strict]
                             [--timing-seed N] [--timesteps N] [--reconfig-cost S]
-                            [--matcher {scalar,vector,incremental}]
                             [--trace-out T.jsonl] [--metrics-out M.json]
                             [--report-dir DIR] [--bench-dir DIR] ...
     python -m hfast report  --trace T.jsonl [--report-dir DIR] [--bench-dir DIR]
@@ -59,18 +58,17 @@ backend-invariant), ``flame`` (folded stacks or speedscope JSON),
 between two runs).
 
 ``hfast serve`` runs the analysis-as-a-service daemon: an HTTP API
-(``POST /v1/jobs``) over the (app, scale, seed, timing/interconnect/
-matcher config) space, with a content-addressed result cache,
-single-flight dedupe of identical in-flight submissions, bounded
-admission with ``429`` backpressure, Prometheus ``/metrics``, and a
-graceful SIGTERM drain. Served results are byte-identical to a direct
+(``POST /v1/jobs``) over the (app, scale, seed, timing/interconnect
+config) space, with a content-addressed result cache, single-flight
+dedupe of identical in-flight submissions, bounded admission with
+``429`` backpressure, Prometheus ``/metrics``, and a graceful SIGTERM
+drain. Served results are byte-identical to a direct
 ``hfast analyze`` run of the same spec.
 
 ``hfast search`` explores the interconnect design space (circuit
-counts, reconfiguration cost, matcher backend, traffic-slice
-granularity) against one (app, scale) workload and reports the Pareto
-frontier over (coverage, packet-fallback bytes, reconfiguration cost,
-analytic evaluation cost). Candidate evaluations dispatch through the
+counts, reconfiguration cost, traffic-slice granularity) against one
+(app, scale) workload and reports the Pareto frontier over (coverage,
+packet-fallback bytes, reconfiguration cost, analytic evaluation cost). Candidate evaluations dispatch through the
 same serial/pool/work-stealing backends as analysis cells, so searches
 shard, retry, journal, and ``--resume`` — and the ``--out`` frontier
 artifact is byte-identical across all of them for a fixed spec.
@@ -96,10 +94,9 @@ import argparse
 import json
 import sys
 
-from hfast.apps import APPS, BACKENDS, DEFAULT_BACKEND, available_apps
+from hfast.apps import APPS, available_apps
 from hfast.cache import DEFAULT_CACHE_DIR, CacheValidationError, ReproCache
 from hfast.interconnect import InterconnectConfig
-from hfast.matcher import DEFAULT_MATCHER, MATCHERS
 from hfast.obs import analytics
 from hfast.obs.anomaly import AnomalyDetector
 from hfast.obs.flame import folded_stacks, speedscope_doc
@@ -177,12 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds charged per circuit reconfiguration in the temporal evaluator",
     )
     p_an.add_argument(
-        "--matcher", choices=MATCHERS, default=DEFAULT_MATCHER,
-        help="circuit-matching backend: pure-Python reference (scalar), "
-             "vectorized edge arrays (vector), or step-delta re-matching in "
-             "the temporal evaluator (incremental); all byte-identical",
-    )
-    p_an.add_argument(
         "--workers", type=int, default=1,
         help="process-pool size for parallel cell execution (default: serial)",
     )
@@ -213,10 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--journal-dir", default=None,
         help="stealing scheduler: run-journal directory (default: <cache-dir>/.sched_journal)",
-    )
-    p_an.add_argument(
-        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="trace-synthesis backend (vector is the fast default)",
     )
     p_an.add_argument("--profile", action="store_true", help="enable the observability layer")
     p_an.add_argument("--trace-out", default=None, help="JSONL span/event trace path (implies --profile)")
@@ -381,10 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated reconfiguration costs (seconds) to search",
     )
     p_se.add_argument(
-        "--matchers", type=_csv, default=None,
-        help="comma-separated matcher backends to search",
-    )
-    p_se.add_argument(
         "--timesteps", type=_csv_ints, default=None,
         help="comma-separated traffic-slice counts to search (1 = static)",
     )
@@ -399,10 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--generations", type=int, default=3, help="evolution: generation count")
     p_se.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     p_se.add_argument("--no-store", action="store_true", help="do not write cache misses back")
-    p_se.add_argument(
-        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="trace-synthesis backend for candidate evaluations",
-    )
     p_se.add_argument(
         "--timing-seed", type=int, default=DEFAULT_TIMING_SEED,
         help="seed for the deterministic LogGP timing model",
@@ -571,7 +550,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
         circuits_per_node=args.circuits,
         timesteps=args.timesteps,
         reconfig_cost=args.reconfig_cost,
-        matcher=args.matcher,
     )
     scheduler = "stealing" if (args.resume or args.mitigate) else args.scheduler
 
@@ -605,7 +583,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             argv=argv,
             workers=args.workers,
             shard=args.shard,
-            backend=args.backend,
             timing_seed=args.timing_seed,
             scheduler=scheduler,
             max_retries=args.max_retries,
@@ -883,8 +860,6 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
         space_kwargs["circuits"] = tuple(args.circuits)
     if args.reconfig_costs is not None:
         space_kwargs["reconfig_costs"] = tuple(args.reconfig_costs)
-    if args.matchers is not None:
-        space_kwargs["matchers"] = tuple(args.matchers)
     if args.timesteps is not None:
         space_kwargs["timesteps"] = tuple(args.timesteps)
     try:
@@ -896,7 +871,6 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
             seed=args.seed,
             population=args.population,
             generations=args.generations,
-            backend=args.backend,
             timing_seed=args.timing_seed,
         )
     except (SpaceValidationError, SearchSpecError) as exc:
@@ -938,7 +912,7 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
         cand, objs = p["candidate"], p["objectives"]
         print(
             f"  {p['id']} circuits={cand['circuits_per_node']:<3d} "
-            f"reconfig={cand['reconfig_cost']:<8g} matcher={cand['matcher']:<11s} "
+            f"reconfig={cand['reconfig_cost']:<8g} "
             f"steps={cand['timesteps']:<3d} "
             f"coverage={objs['coverage']:.3f} packet={objs['packet_bytes']:,d}B "
             f"reconf_s={objs['reconfig_s']:g} cost={objs['eval_cost']:.1f}"

@@ -1,8 +1,8 @@
 """Design-space exploration over the temporal interconnect evaluator.
 
 The subsystem treats the interconnect configuration knobs (circuits per
-node, reconfiguration cost, matcher backend, traffic-slice granularity)
-as search variables and the temporal evaluator as a fitness function:
+node, reconfiguration cost, traffic-slice granularity) as search
+variables and the temporal evaluator as a fitness function:
 
 - :mod:`hfast.dse.space` — declarative, validated parameter space with
   deterministic grid enumeration and seeded sampling.

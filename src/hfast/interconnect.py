@@ -17,16 +17,11 @@ Two evaluators coexist:
   With one timestep and zero reconfiguration cost it reduces exactly to
   the static matching evaluation.
 
-The matching itself lives in :mod:`hfast.matcher` as three backends
-selected by ``InterconnectConfig.matcher``: the pure-Python ``scalar``
-reference, the vectorized ``vector`` default, and ``incremental``
-(step-to-step delta re-matching in the temporal evaluator). All three are
-byte-identical on every input — pinned by the differential suite — so the
-choice only moves wall time. The temporal evaluator works entirely on
-columnar edge arrays: traffic is sliced for all timesteps in one batched
-``(T, E)`` computation and per-node finish times come from edge
-``bincount`` sums (exact for integer traffic, hence float-identical to
-the dense row sums).
+The matching itself lives in :mod:`hfast.matcher`. The temporal
+evaluator works entirely on columnar edge arrays: traffic is sliced for
+all timesteps in one batched ``(T, E)`` computation and per-node finish
+times come from edge ``bincount`` sums (exact for integer traffic, hence
+float-identical to the dense row sums).
 """
 
 from __future__ import annotations
@@ -35,13 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hfast.matcher import (
-    DEFAULT_MATCHER,
-    MATCHERS,
-    IncrementalMatcher,
-    greedy_circuits,
-    match_edges,
-)
+from hfast.matcher import greedy_circuits, match_edges
 from hfast.matrix import CommMatrix
 from hfast.obs.profile import profiled
 from hfast.timing import mix64, mix64_vec
@@ -57,7 +46,6 @@ class InterconnectConfig:
     timesteps: int = 4  # temporal evaluator: number of traffic slices
     reconfig_cost: float = 1e-3  # s per circuit established after t=0 (MEMS-scale)
     slice_seed: int = 0  # seed for the deterministic traffic slicer
-    matcher: str = DEFAULT_MATCHER  # matching backend: scalar | vector | incremental
 
     def to_dict(self) -> dict:
         return {
@@ -69,15 +57,10 @@ class InterconnectConfig:
             "timesteps": self.timesteps,
             "reconfig_cost": self.reconfig_cost,
             "slice_seed": self.slice_seed,
-            "matcher": self.matcher,
+            # A fixed value, not a setting: every stored cell summary
+            # carries it, so dropping it would change every answer digest.
+            "matcher": "vector",
         }
-
-
-def _check_matcher(config: InterconnectConfig) -> None:
-    if config.matcher not in MATCHERS:
-        raise ValueError(
-            f"unknown matcher {config.matcher!r} (expected one of {MATCHERS})"
-        )
 
 
 @dataclass
@@ -124,10 +107,6 @@ class TemporalEvaluation:
     static_coverage: float = 0.0  # static-greedy baseline on the same matrix
     static_speedup: float = 1.0
     per_step: list[dict] = field(default_factory=list)
-    # Incremental-backend delta counters (steps, unchanged_hits,
-    # order_reuses, full_resorts, edges_reseeded); wall-clock-free, but
-    # kept out of to_dict so every backend serializes identically.
-    matcher_stats: dict | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -151,10 +130,12 @@ def assign_circuits(cm: CommMatrix, circuits_per_node: int) -> list[tuple[int, i
 
     Circuits are unidirectional (src -> dst); each endpoint spends one
     circuit from its budget (egress at src, ingress at dst). Edges are
-    visited in the canonical ``(-weight, src, dst)`` order shared with
-    the matching backends, so the greedy baseline is reproducible from
-    sparse edge lists at any scale. Kept as the baseline the matching
-    assignment is measured against; self-loops never get circuits.
+    visited by weight descending, ties broken by the stripe key
+    ``((dst - src) mod n, src, dst)`` of :func:`hfast.matcher.canon_key`
+    — the order the matcher uses too — so the greedy baseline is
+    reproducible from sparse edge lists at any scale. Kept as the
+    baseline the matching assignment is measured against; self-loops
+    never get circuits.
     """
     return greedy_circuits(cm.bytes_matrix, cm.nranks, circuits_per_node)
 
@@ -163,7 +144,6 @@ def assign_circuits_matching(
     weights: np.ndarray,
     circuits_per_node: int,
     max_passes: int = 8,
-    backend: str = DEFAULT_MATCHER,
 ) -> list[tuple[int, int]]:
     """Degree-constrained max-weight matching via greedy + augmenting swaps.
 
@@ -174,10 +154,12 @@ def assign_circuits_matching(
     matched weight, so the result never covers less than greedy — without
     scipy's linear_sum_assignment and in O(passes * E * b) time.
 
-    Deterministic: edges are visited in ``(-weight, src, dst)`` order and
-    victims picked by ``(weight, node)`` order, identically in every
-    backend (the implementation is :func:`hfast.matcher.match_edges`).
-    Zero-weight edges, self-loops, and a zero budget never contribute.
+    Deterministic: edges are visited by weight descending, ties broken by
+    the stripe key ``((dst - src) mod n, src, dst)`` of
+    :func:`hfast.matcher.canon_key`, and victims are picked by
+    ``(weight, node)`` order (the implementation is
+    :func:`hfast.matcher.match_edges`). Zero-weight edges, self-loops,
+    and a zero budget never contribute.
     """
     if circuits_per_node <= 0:
         return []
@@ -186,9 +168,7 @@ def assign_circuits_matching(
     keep = src != dst
     src, dst = src[keep].astype(np.int64), dst[keep].astype(np.int64)
     w = np.asarray(weights, dtype=np.float64)[src, dst]
-    return match_edges(
-        src, dst, w, n, circuits_per_node, backend=backend, max_passes=max_passes
-    )
+    return match_edges(src, dst, w, n, circuits_per_node, max_passes=max_passes)
 
 
 def _node_finish_times(
@@ -274,7 +254,6 @@ def evaluate_hybrid(
     if strategy not in ("greedy", "matching"):
         raise ValueError(f"unknown strategy {strategy!r} (expected 'greedy' or 'matching')")
     config = config or InterconnectConfig()
-    _check_matcher(config)
     ev = HybridEvaluation(config=config, strategy=strategy)
     total = cm.total_bytes
     if total == 0:
@@ -282,9 +261,7 @@ def evaluate_hybrid(
         return ev
 
     if strategy == "matching":
-        ev.circuits = assign_circuits_matching(
-            cm.bytes_matrix, config.circuits_per_node, backend=config.matcher
-        )
+        ev.circuits = assign_circuits_matching(cm.bytes_matrix, config.circuits_per_node)
     else:
         ev.circuits = assign_circuits(cm, config.circuits_per_node)
     circuit_mask = np.zeros_like(cm.bytes_matrix, dtype=bool)
@@ -410,17 +387,13 @@ def evaluate_temporal(
 
     The whole evaluator is columnar: one batched ``(T, E)`` slicing pass,
     per-step weights gathered from the step's row, and finish times from
-    edge ``bincount`` sums. ``config.matcher`` picks the backend; the
-    ``incremental`` backend re-matches through one persistent
-    :class:`hfast.matcher.IncrementalMatcher`, whose delta counters land
-    in ``matcher_stats``. An empty traffic slice keeps the previous
+    edge ``bincount`` sums. An empty traffic slice keeps the previous
     configuration standing (circuits idle, they don't tear down), so
     traffic resuming after a gap is not charged for circuits it already
     held — and the first slice that establishes any circuits is the free
     initial configuration, whether or not it is literally step 0.
     """
     config = config or InterconnectConfig()
-    _check_matcher(config)
     T = max(1, int(config.timesteps))
     ev = TemporalEvaluation(config=config, timesteps=T)
     total = cm.total_bytes
@@ -439,13 +412,10 @@ def evaluate_temporal(
 
     # Matchable universe: off-diagonal links (self-loop traffic stays on
     # the packet fabric). np.nonzero is row-major, so this is already in
-    # (src, dst) ascending order — the IncrementalMatcher's storage order.
+    # (src, dst) ascending order, which the circuit lookup below relies on.
     match_ids = np.flatnonzero(src != dst)
     pair_m = src[match_ids] * np.int64(max(1, n)) + dst[match_ids]
     bound = config.circuits_per_node
-    inc: IncrementalMatcher | None = None
-    if config.matcher == "incremental" and match_ids.size and bound > 0:
-        inc = IncrementalMatcher(src[match_ids], dst[match_ids], n, bound)
 
     keep_bonus = config.reconfig_cost * config.circuit_bandwidth
     prev_mask = np.zeros(match_ids.size, dtype=bool)
@@ -457,12 +427,7 @@ def evaluate_temporal(
         w = eb[t, match_ids].astype(np.float64)
         if have_prev and keep_bonus > 0.0:
             w[prev_mask & (w > 0)] += keep_bonus
-        if inc is not None:
-            circuits = inc.rematch(w)
-        else:
-            circuits = match_edges(
-                src[match_ids], dst[match_ids], w, n, bound, backend=config.matcher
-            )
+        circuits = match_edges(src[match_ids], dst[match_ids], w, n, bound)
         if circuits:
             qp = np.fromiter(
                 (s * n + d for s, d in circuits), dtype=np.int64, count=len(circuits)
@@ -504,6 +469,4 @@ def evaluate_temporal(
     ev.packet_only_time = packet_time
     if hybrid_time > 0:
         ev.speedup = packet_time / hybrid_time
-    if inc is not None:
-        ev.matcher_stats = dict(inc.stats)
     return ev

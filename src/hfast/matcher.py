@@ -1,41 +1,27 @@
 """Degree-constrained max-weight matching over columnar edge arrays.
 
-The circuit matcher used to live inside :mod:`hfast.interconnect` as a
-dict/set algorithm over a dense weight matrix — fine at 8–256 ranks,
-but the temporal evaluator re-matches every timestep, which made the
-pure-Python pass structure the wall-clock bottleneck long before the
-paper's ultra-scale rank counts. This module is the matcher extracted
-onto a structure-of-arrays edge list (``src``/``dst``/``w`` columns) with
-three interchangeable backends:
+The temporal evaluator re-matches every timestep, so the matcher works
+on a structure-of-arrays edge list (``src``/``dst``/``w`` columns), not
+on a dense weight matrix, and keeps pure-Python loops off the per-edge
+paths wherever it can.
 
-- ``scalar`` — the pure-Python reference. Sequential greedy seed, then
-  improvement passes driven by Python loops. Slow, obviously correct,
-  and the identity baseline every other backend is pinned against.
-- ``vector`` — the numpy backend. The greedy seed runs as b-Suitor-style
-  rounds (accept every edge that is within the remaining capacity at
-  *both* endpoints among surviving edges, drop edges touching saturated
-  nodes, repeat), which produces exactly the sequential greedy result
-  under the canonical total order; improvement candidates are computed
-  with vectorized lower-bound filters so the sequential apply loop only
-  touches edges that can actually improve the matching.
-- ``incremental`` — :class:`IncrementalMatcher`: a persistent edge
-  universe for re-matching evolving weights (the temporal evaluator's
-  per-timestep traffic). Only edges whose weight changed are re-seeded:
-  an unchanged step returns the cached assignment outright, an
-  order-preserving change skips the canonical re-sort, and everything
-  else falls back to a full vector match — so the result is *always*
-  byte-identical to matching from scratch.
+The greedy seed runs as b-Suitor-style rounds (accept every edge that
+is within the remaining capacity at *both* endpoints among surviving
+edges, drop edges touching saturated nodes, repeat), which produces
+exactly the sequential greedy result under the canonical total order.
+Improvement candidates are computed with vectorized lower-bound filters
+so the sequential apply loop only touches edges that can actually
+improve the matching.
 
-All backends share one improvement-pass implementation and one canonical
-edge order — descending weight, ties in *stripe* order
-``((dst - src) mod n, src, dst)`` — so their outputs are identical by
-construction wherever they are not identical by proof;
-``tests/test_matcher_properties.py`` and
-``tests/test_matcher_differential.py`` pin both claims. The stripe
-tie-break is a Latin-square round-robin: on tie-heavy traffic (a uniform
+Edges are processed in one canonical order — descending weight, ties in
+*stripe* order ``((dst - src) mod n, src, dst)``. The stripe tie-break
+is a Latin-square round-robin: on tie-heavy traffic (a uniform
 all-to-all) each stripe is a perfect permutation, so greedy saturates
 every endpoint evenly instead of stranding capacity the way
-pair-lexicographic order does.
+pair-lexicographic order does. ``tests/oracles.py`` holds a pure-Python
+reference matcher (sequential greedy seed, per-edge candidate filter,
+list adjacency); ``tests/test_matcher_properties.py`` and
+``tests/test_matcher_differential.py`` pin this module against it.
 
 Self-loops are never matched (a circuit from a node to itself is
 physically meaningless — loopback traffic stays on the packet fabric),
@@ -47,8 +33,6 @@ from __future__ import annotations
 
 import numpy as np
 
-MATCHERS = ("scalar", "vector", "incremental")
-DEFAULT_MATCHER = "vector"
 DEFAULT_MAX_PASSES = 8
 
 
@@ -69,8 +53,8 @@ def canonical_edges(
     """Extract matchable edges from a dense matrix in canonical order.
 
     Keeps strictly-positive off-diagonal entries and sorts them by
-    weight descending, ties by stripe order — the total order every
-    backend processes edges in. Returns ``(src, dst, w)`` columns
+    weight descending, ties by stripe order — the total order the
+    matcher processes edges in. Returns ``(src, dst, w)`` columns
     (int64, int64, float64).
     """
     src, dst = np.nonzero(weights > 0)
@@ -97,26 +81,6 @@ def sort_edges(
 # -- greedy seed --------------------------------------------------------------
 
 
-def greedy_seed_scalar(
-    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int
-) -> list[int]:
-    """Sequential greedy over canonical-ordered edges: the seed reference.
-
-    Accepts each edge in order whenever both endpoints still have
-    capacity. Returns accepted edge indexes in canonical order.
-    """
-    cap_out = [bound] * nranks
-    cap_in = [bound] * nranks
-    chosen: list[int] = []
-    for ei in range(len(w)):
-        s, d = int(src[ei]), int(dst[ei])
-        if cap_out[s] > 0 and cap_in[d] > 0:
-            cap_out[s] -= 1
-            cap_in[d] -= 1
-            chosen.append(ei)
-    return chosen
-
-
 def _group_rank(values: np.ndarray) -> np.ndarray:
     """0-based occurrence rank of each element within its value group.
 
@@ -140,15 +104,16 @@ def _group_rank(values: np.ndarray) -> np.ndarray:
 def greedy_seed_vector(
     src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int
 ) -> list[int]:
-    """b-Suitor-style rounds; identical output to :func:`greedy_seed_scalar`.
+    """Greedy seed as b-Suitor-style rounds.
 
-    Each round accepts every surviving edge whose rank among surviving
-    edges at *both* endpoints fits the remaining capacity there — a
-    superset-free subset of what the sequential scan accepts — then
-    discards edges touching saturated endpoints. Under a strict total
-    order this converges to exactly the sequential greedy matching
-    (Khan et al., the b-Suitor equivalence); the property suite pins the
-    equality against :func:`greedy_seed_scalar` anyway.
+    Returns accepted edge indexes in canonical order. Each round accepts
+    every surviving edge whose rank among surviving edges at *both*
+    endpoints fits the remaining capacity there — a superset-free subset
+    of what the sequential scan accepts — then discards edges touching
+    saturated endpoints. Under a strict total order this converges to
+    exactly the sequential greedy matching (Khan et al., the b-Suitor
+    equivalence); the property suite pins the equality against the
+    sequential scan in ``tests/oracles.py`` anyway.
     """
     if bound <= 0 or len(w) == 0:
         return []
@@ -177,12 +142,10 @@ def greedy_seed_vector(
 
 
 class _MatchState:
-    """Edge-index-keyed selection state shared by every backend.
+    """Edge-index-keyed selection state for the improvement passes.
 
     Edges are referenced by their canonical index, so the per-node
-    bookkeeping is sets of ints and weight lookups are array reads — the
-    same state drives the scalar and vector backends, which is what makes
-    their improvement passes identical by construction.
+    bookkeeping is sets of ints and weight lookups are array reads.
     """
 
     __slots__ = ("src", "dst", "w", "bound", "sel", "out_sel", "in_sel", "versions")
@@ -231,74 +194,37 @@ class _MatchState:
         return min(self.in_sel[node], key=lambda ei: (self.w[ei], self.src[ei]))
 
 
-def _swap_bounds(
-    state: _MatchState, nranks: int, vector: bool
-) -> tuple[np.ndarray, np.ndarray] | tuple[dict[int, float], dict[int, float]]:
-    """Per-node lower bounds a would-be swap-in edge must beat.
-
-    A saturated endpoint charges its lightest selected edge's weight;
-    an unsaturated endpoint charges nothing. Snapshot semantics: both
-    backends evaluate the bound against the state at pass start, so the
-    candidate lists they iterate are identical.
-    """
-    if vector:
-        lb_out = np.zeros(nranks, dtype=np.float64)
-        lb_in = np.zeros(nranks, dtype=np.float64)
-        for node, edges in state.out_sel.items():
-            if len(edges) >= state.bound:
-                lb_out[node] = state.w[state.min_out(node)]
-        for node, edges in state.in_sel.items():
-            if len(edges) >= state.bound:
-                lb_in[node] = state.w[state.min_in(node)]
-        return lb_out, lb_in
-    lb_out_d: dict[int, float] = {}
-    lb_in_d: dict[int, float] = {}
-    for node, edges in state.out_sel.items():
-        if len(edges) >= state.bound:
-            lb_out_d[node] = float(state.w[state.min_out(node)])
-    for node, edges in state.in_sel.items():
-        if len(edges) >= state.bound:
-            lb_in_d[node] = float(state.w[state.min_in(node)])
-    return lb_out_d, lb_in_d
-
-
-def _swap_candidates(state: _MatchState, nranks: int, vector: bool) -> list[int]:
+def _swap_candidates(state: _MatchState, nranks: int) -> list[int]:
     """Canonically-ordered edges worth visiting in a 1-for-k swap pass.
 
     An unselected edge can only displace blockers if its weight beats the
-    sum of the lightest selected edge at each saturated endpoint. The
-    vector backend evaluates that filter with one array expression; the
-    scalar backend applies the same snapshot filter edge by edge. The
-    filter is exact at pass start, so skipped edges cannot improve the
-    matching unless an earlier swap in the same pass changes the state —
-    and any such late-blooming candidate is picked up by the next pass
-    (``improved`` stays True), identically in both backends.
+    sum of the lightest selected edge at each saturated endpoint (an
+    unsaturated endpoint charges nothing). The filter is one array
+    expression over a snapshot of the state at pass start, and it is
+    exact there: skipped edges cannot improve the matching unless an
+    earlier swap in the same pass changes the state — and any such
+    late-blooming candidate is picked up by the next pass (``improved``
+    stays True).
     """
-    if vector:
-        lb_out, lb_in = _swap_bounds(state, nranks, vector=True)
-        mask = state.w > lb_out[state.src] + lb_in[state.dst]
-        if state.sel:
-            mask[list(state.sel)] = False
-        return np.flatnonzero(mask).tolist()
-    lb_out_d, lb_in_d = _swap_bounds(state, nranks, vector=False)
-    cands: list[int] = []
-    for ei in range(len(state.w)):
-        if ei in state.sel:
-            continue
-        bound = lb_out_d.get(int(state.src[ei]), 0.0) + lb_in_d.get(
-            int(state.dst[ei]), 0.0
-        )
-        if float(state.w[ei]) > bound:
-            cands.append(ei)
-    return cands
+    lb_out = np.zeros(nranks, dtype=np.float64)
+    lb_in = np.zeros(nranks, dtype=np.float64)
+    for node, edges in state.out_sel.items():
+        if len(edges) >= state.bound:
+            lb_out[node] = state.w[state.min_out(node)]
+    for node, edges in state.in_sel.items():
+        if len(edges) >= state.bound:
+            lb_in[node] = state.w[state.min_in(node)]
+    mask = state.w > lb_out[state.src] + lb_in[state.dst]
+    if state.sel:
+        mask[list(state.sel)] = False
+    return np.flatnonzero(mask).tolist()
 
 
 def _swap_pass(state: _MatchState, candidates: list[int]) -> bool:
     """1-for-k swaps: evict the lightest blockers when one edge pays for them.
 
-    Shared sequential apply loop — eligibility is re-checked against the
-    live state, so both backends make the same sequence of moves given
-    the same candidate list.
+    Sequential apply loop: eligibility is re-checked against the live
+    state, so the moves depend only on the candidate list's order.
     """
     improved = False
     bound = state.bound
@@ -344,8 +270,8 @@ class _AugmentMemo:
 
 def _augment_pass(
     state: _MatchState,
-    out_adj,
-    in_adj,
+    out_adj: list[np.ndarray],
+    in_adj: list[np.ndarray],
     memo: _AugmentMemo,
 ) -> bool:
     """2-for-1 augments: drop one circuit when the freed endpoints can host
@@ -367,8 +293,8 @@ def _augment_pass(
         s, d = int(src[ei]), int(dst[ei])
         cands = memo.cands.get(ei)
         if cands is None:
-            out_list = out_adj[s] if s < len(out_adj) else ()
-            in_list = in_adj[d] if d < len(in_adj) else ()
+            out_list = out_adj[s]
+            in_list = in_adj[d]
             merged = set(map(int, out_list))
             merged.update(map(int, in_list))
             merged.discard(ei)
@@ -429,7 +355,7 @@ def _augment_pass(
     return improved
 
 
-def _adjacency_vector(
+def _adjacency(
     src: np.ndarray, dst: np.ndarray, nranks: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """CSR-style per-node incident edge-index lists, built with two sorts."""
@@ -448,236 +374,50 @@ def _adjacency_vector(
     return out_adj, in_adj
 
 
-def _adjacency_scalar(
-    src: np.ndarray, dst: np.ndarray, nranks: int
-) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """Pure-Python adjacency; same content as :func:`_adjacency_vector`."""
-    out_adj: dict[int, list[int]] = {n: [] for n in range(nranks)}
-    in_adj: dict[int, list[int]] = {n: [] for n in range(nranks)}
-    for ei in range(len(src)):
-        out_adj[int(src[ei])].append(ei)
-        in_adj[int(dst[ei])].append(ei)
-    return out_adj, in_adj
-
-
-def _match_sorted(
-    src: np.ndarray,
-    dst: np.ndarray,
-    w: np.ndarray,
-    nranks: int,
-    bound: int,
-    vector: bool,
-    max_passes: int,
-) -> list[tuple[int, int]]:
-    """Match canonically-sorted edge columns; shared by every backend."""
-    if bound <= 0 or len(w) == 0:
-        return []
-    state = _MatchState(src, dst, w, bound, nranks)
-    seed = (greedy_seed_vector if vector else greedy_seed_scalar)(
-        src, dst, w, nranks, bound
-    )
-    for ei in seed:
-        state.add(ei)
-    if vector:
-        out_adj, in_adj = _adjacency_vector(src, dst, nranks)
-    else:
-        out_adj, in_adj = _adjacency_scalar(src, dst, nranks)
-
-    class _DictAdj:
-        """dict adjacency behind the list[int]-indexing the passes use."""
-
-        def __init__(self, table):
-            self.table = table
-
-        def __getitem__(self, node):
-            return self.table.get(node, ())
-
-        def __len__(self):
-            return nranks
-
-    if not vector:
-        out_adj, in_adj = _DictAdj(out_adj), _DictAdj(in_adj)
-
-    memo = _AugmentMemo((src * np.int64(max(1, nranks)) + dst).tolist())
-    for _ in range(max_passes):
-        improved = _swap_pass(state, _swap_candidates(state, nranks, vector))
-        improved |= _augment_pass(state, out_adj, in_adj, memo)
-        if not improved:
-            break
-    return sorted((int(src[ei]), int(dst[ei])) for ei in state.sel)
-
-
 def match_edges(
     src: np.ndarray,
     dst: np.ndarray,
     w: np.ndarray,
     nranks: int,
     bound: int,
-    backend: str = DEFAULT_MATCHER,
     max_passes: int = DEFAULT_MAX_PASSES,
     presorted: bool = False,
 ) -> list[tuple[int, int]]:
     """Degree-constrained max-weight matching over edge columns.
 
-    Returns the selected circuits as a ``(src, dst)``-sorted list of
-    tuples — the exact shape the interconnect evaluators consume. The
-    ``incremental`` backend is stateless here and matches like
-    ``vector``; use :class:`IncrementalMatcher` to exploit step-to-step
-    deltas.
+    Seeds with the canonical-order greedy solution, then alternates
+    1-for-k swap and 2-for-1 augment passes until a pass changes nothing
+    (at most ``max_passes``). Returns the selected circuits as a
+    ``(src, dst)``-sorted list of tuples — the exact shape the
+    interconnect evaluators consume. ``presorted=True`` skips the
+    canonical sort for columns that are already in canonical order.
     """
-    if backend not in MATCHERS:
-        raise ValueError(f"unknown matcher backend {backend!r} (expected one of {MATCHERS})")
     if not presorted:
         src, dst, w = sort_edges(src, dst, w, nranks)
-    return _match_sorted(
-        src, dst, w, nranks, bound, vector=(backend != "scalar"), max_passes=max_passes
-    )
+    if bound <= 0 or len(w) == 0:
+        return []
+    state = _MatchState(src, dst, w, bound, nranks)
+    for ei in greedy_seed_vector(src, dst, w, nranks, bound):
+        state.add(ei)
+    out_adj, in_adj = _adjacency(src, dst, nranks)
+    memo = _AugmentMemo((src * np.int64(max(1, nranks)) + dst).tolist())
+    for _ in range(max_passes):
+        improved = _swap_pass(state, _swap_candidates(state, nranks))
+        improved |= _augment_pass(state, out_adj, in_adj, memo)
+        if not improved:
+            break
+    return sorted((int(src[ei]), int(dst[ei])) for ei in state.sel)
 
 
-def greedy_circuits(
-    weights: np.ndarray, nranks: int, bound: int, vector: bool = True
-) -> list[tuple[int, int]]:
+def greedy_circuits(weights: np.ndarray, nranks: int, bound: int) -> list[tuple[int, int]]:
     """Canonical-order greedy assignment over a dense matrix.
 
-    The baseline the matching backends are measured against — and,
-    because every backend seeds with exactly this solution, the floor
-    they can never fall below.
+    The baseline the matcher is measured against — and, because the
+    matcher seeds with exactly this solution, the floor it can never
+    fall below.
     """
     if bound <= 0:
         return []
     src, dst, w = canonical_edges(weights)
-    seed = (greedy_seed_vector if vector else greedy_seed_scalar)(
-        src, dst, w, nranks, bound
-    )
+    seed = greedy_seed_vector(src, dst, w, nranks, bound)
     return sorted((int(src[ei]), int(dst[ei])) for ei in seed)
-
-
-# -- incremental re-matching --------------------------------------------------
-
-
-class IncrementalMatcher:
-    """Re-match evolving weights over a persistent edge universe.
-
-    Construct once with the fixed link structure (``src``/``dst``
-    columns, e.g. the nonzero links of an aggregate communication
-    matrix), then call :meth:`rematch` with a full weight vector per
-    timestep. Only edges whose weight changed since the previous step
-    are re-seeded:
-
-    - no changes → the cached assignment is returned outright;
-    - changes that preserve the canonical order → the cached sort is
-      reused and only the match itself re-runs;
-    - anything else → full canonical re-sort + vector match.
-
-    Every path produces a result byte-identical to matching the same
-    weights from scratch; the delta bookkeeping is observable through
-    :attr:`stats` for benchmarks and reports.
-    """
-
-    def __init__(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        nranks: int,
-        bound: int,
-        max_passes: int = DEFAULT_MAX_PASSES,
-    ):
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        order = np.lexsort((dst, src))  # storage order: (src, dst) ascending
-        self.src, self.dst = src[order], dst[order]
-        #: Permutation from constructor edge order to storage order:
-        #: a caller holding weights aligned with its own (src, dst) inputs
-        #: passes ``w[matcher.input_order]`` to :meth:`rematch`.
-        self.input_order = order
-        self.nranks = int(nranks)
-        self.bound = int(bound)
-        self.max_passes = int(max_passes)
-        self._pair = self.src * np.int64(max(1, self.nranks)) + self.dst
-        self._ckey = canon_key(self.src, self.dst, self.nranks)
-        self._prev_w: np.ndarray | None = None
-        self._active: np.ndarray | None = None  # active edge ids, canonical order
-        self._result: list[tuple[int, int]] | None = None
-        self.stats = {
-            "steps": 0,
-            "unchanged_hits": 0,
-            "order_reuses": 0,
-            "full_resorts": 0,
-            "edges_reseeded": 0,
-        }
-
-    @classmethod
-    def from_dense(
-        cls, weights: np.ndarray, bound: int, max_passes: int = DEFAULT_MAX_PASSES
-    ) -> "IncrementalMatcher":
-        """Build the edge universe from a dense matrix's off-diagonal support."""
-        src, dst = np.nonzero(weights)
-        keep = src != dst
-        return cls(src[keep], dst[keep], weights.shape[0], bound, max_passes=max_passes)
-
-    def _canonical_active(self, w: np.ndarray) -> np.ndarray:
-        """Active (w>0) edge ids in canonical order, reusing the cached
-        order when the weight deltas did not disturb it."""
-        active_mask = w > 0
-        if self._active is not None and self._prev_w is not None:
-            prev_active = self._prev_w > 0
-            if bool(np.array_equal(active_mask, prev_active)):
-                ao = self._active
-                ow = w[ao]
-                if self._order_holds(ow, ao):
-                    self.stats["order_reuses"] += 1
-                    return ao
-        self.stats["full_resorts"] += 1
-        ids = np.flatnonzero(active_mask)
-        order = np.lexsort((self._ckey[ids], -w[ids]))
-        return ids[order]
-
-    def _order_holds(self, ow: np.ndarray, ao: np.ndarray) -> bool:
-        """Is the cached canonical order still canonical under new weights?
-
-        Weights must be non-increasing, and equal-weight runs must appear
-        in ascending stripe-key order — exactly the canonical tie-break —
-        which makes the check one vectorized scan.
-        """
-        if len(ow) < 2:
-            return True
-        a, b = ow[:-1], ow[1:]
-        tie = a == b
-        if not bool(np.all((a > b) | tie)):
-            return False
-        return bool(np.all(self._ckey[ao[:-1][tie]] < self._ckey[ao[1:][tie]]))
-
-    def rematch(self, w: np.ndarray) -> list[tuple[int, int]]:
-        """Circuits for one step's weights; byte-identical to from-scratch."""
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != self.src.shape:
-            raise ValueError(
-                f"weight vector has shape {w.shape}, edge universe has {self.src.shape}"
-            )
-        self.stats["steps"] += 1
-        if self._prev_w is not None and self._result is not None:
-            if bool(np.array_equal(w, self._prev_w)):
-                self.stats["unchanged_hits"] += 1
-                return list(self._result)
-            self.stats["edges_reseeded"] += int(np.count_nonzero(w != self._prev_w))
-        else:
-            self.stats["edges_reseeded"] += int(np.count_nonzero(w > 0))
-        active = self._canonical_active(w)
-        result = _match_sorted(
-            self.src[active],
-            self.dst[active],
-            w[active],
-            self.nranks,
-            self.bound,
-            vector=True,
-            max_passes=self.max_passes,
-        )
-        self._prev_w = w.copy()
-        self._active = active
-        self._result = result
-        return list(result)
-
-    def rematch_dense(self, weights: np.ndarray) -> list[tuple[int, int]]:
-        """Convenience: gather this universe's weights from a dense matrix."""
-        w = np.asarray(weights, dtype=np.float64)[self.src, self.dst]
-        return self.rematch(w)

@@ -2,7 +2,7 @@
 
 A long-running asyncio HTTP service in front of the pipeline. Clients
 submit one analysis cell at a time over the full
-(app, scale, seed, timing/interconnect/matcher config) space and get a
+(app, scale, seed, timing/interconnect config) space and get a
 content-addressed result back:
 
 - ``POST /v1/jobs`` — validate + canonicalize the submission
@@ -554,7 +554,6 @@ class AnalysisService:
                 store=self.config.store,
                 argv=["hfast-serve", job.job_id],
                 workers=self.config.workers,
-                backend=spec.backend,
                 timing_seed=spec.timing_seed,
                 scheduler=self.config.scheduler,
                 journal_dir=str(self.journal_dir),

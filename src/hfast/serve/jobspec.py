@@ -1,9 +1,8 @@
 """Job specifications: validation, canonicalization, content addressing.
 
 A submission to ``POST /v1/jobs`` names one (app, nranks) cell plus the
-knobs that change its analysis output: trace-synthesis backend and
-overrides, the deterministic timing seed, and the full interconnect
-configuration. :func:`canonicalize` validates the request and maps it
+knobs that change its analysis output: trace overrides, the
+deterministic timing seed, and the full interconnect configuration. :func:`canonicalize` validates the request and maps it
 onto a :class:`JobSpec` whose :attr:`JobSpec.key` is the sha256 of the
 canonical JSON document — two submissions that differ only in field
 order or in explicitly spelling out default values land on the same key
@@ -34,15 +33,14 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from hfast.apps import APPS, BACKENDS, DEFAULT_BACKEND
+from hfast.apps import APPS
 from hfast.cache import cache_key
 from hfast.interconnect import InterconnectConfig
-from hfast.matcher import MATCHERS
 from hfast.timing import DEFAULT_TIMING_SEED
 
 #: Canonical-document schema version; bump on any change to the layout
 #: below, because the version participates in the sha256 key.
-SPEC_FORMAT = 1
+SPEC_FORMAT = 2
 
 MAX_NRANKS = 1 << 20
 MAX_TIMESTEPS = 4096
@@ -53,7 +51,6 @@ _DEFAULT_CONFIG = InterconnectConfig()
 FIELDS: dict[str, tuple[Any, str]] = {
     "app": (None, "app"),
     "nranks": (None, "nranks"),
-    "backend": (DEFAULT_BACKEND, "backend"),
     "timing_seed": (DEFAULT_TIMING_SEED, "int"),
     "overrides": ({}, "overrides"),
     "circuits_per_node": (_DEFAULT_CONFIG.circuits_per_node, "nonneg_int"),
@@ -64,7 +61,6 @@ FIELDS: dict[str, tuple[Any, str]] = {
     "timesteps": (_DEFAULT_CONFIG.timesteps, "timesteps"),
     "reconfig_cost": (_DEFAULT_CONFIG.reconfig_cost, "nonneg_float"),
     "slice_seed": (_DEFAULT_CONFIG.slice_seed, "int"),
-    "matcher": (_DEFAULT_CONFIG.matcher, "matcher"),
 }
 
 _INT_FIELDS = {"nranks", "timing_seed", "circuits_per_node", "timesteps", "slice_seed"}
@@ -101,7 +97,6 @@ class JobSpec:
 
     app: str
     nranks: int
-    backend: str
     timing_seed: int
     overrides: tuple[tuple[str, Any], ...]
     circuits_per_node: int
@@ -112,7 +107,6 @@ class JobSpec:
     timesteps: int
     reconfig_cost: float
     slice_seed: int
-    matcher: str
 
     @property
     def cell_key(self) -> str:
@@ -131,7 +125,6 @@ class JobSpec:
             timesteps=self.timesteps,
             reconfig_cost=self.reconfig_cost,
             slice_seed=self.slice_seed,
-            matcher=self.matcher,
         )
 
     def canonical_doc(self) -> dict[str, Any]:
@@ -140,7 +133,6 @@ class JobSpec:
             "format": SPEC_FORMAT,
             "app": self.app,
             "nranks": self.nranks,
-            "backend": self.backend,
             "timing_seed": self.timing_seed,
             "overrides": self.overrides_dict(),
             "interconnect": {
@@ -152,7 +144,6 @@ class JobSpec:
                 "timesteps": self.timesteps,
                 "reconfig_cost": float(self.reconfig_cost),
                 "slice_seed": self.slice_seed,
-                "matcher": self.matcher,
             },
         }
 
@@ -190,16 +181,6 @@ def _validate_field(name: str, kind: str, value: Any, errors: list[str]) -> Any:
     if kind == "nranks":
         if not _is_int(value) or not 1 <= value <= MAX_NRANKS:
             errors.append(f"nranks: expected an integer in [1, {MAX_NRANKS}], got {value!r}")
-            return None
-        return value
-    if kind == "backend":
-        if not isinstance(value, str) or value not in BACKENDS:
-            errors.append(f"backend: expected one of {BACKENDS}, got {value!r}")
-            return None
-        return value
-    if kind == "matcher":
-        if not isinstance(value, str) or value not in MATCHERS:
-            errors.append(f"matcher: expected one of {MATCHERS}, got {value!r}")
             return None
         return value
     if kind == "timesteps":
@@ -260,7 +241,6 @@ SWEEP_FIELDS = (
     "seed",
     "population",
     "generations",
-    "backend",
     "timing_seed",
 )
 

@@ -95,3 +95,20 @@ def test_apps_listing(seed_cache, capsys):
     assert rc == 0
     listing = json.loads(capsys.readouterr().out)
     assert listing["cactus"]["cached_scales"] == [8, 16, 27, 64, 256]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--matcher", "vector"],
+        ["analyze", "--backend", "vector"],
+        ["search", "--app", "gtc", "--scale", "8", "--matchers", "vector"],
+        ["search", "--app", "gtc", "--scale", "8", "--backend", "vector"],
+    ],
+    ids=["analyze-matcher", "analyze-backend", "search-matchers", "search-backend"],
+)
+def test_removed_implementation_flags_are_argparse_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err

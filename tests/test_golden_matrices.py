@@ -6,8 +6,13 @@ synthesizer refactor (vectorization, dtype changes, regrouping) cannot
 silently change them. Regenerate intentionally with::
 
     PYTHONPATH=src python scripts/gen_golden.py
+
+The full ``analyze_app`` summary of each golden cell is pinned too, by
+sha256 digest: it holds every paper-facing answer (coverage, speedup,
+reconfigurations, %comm) and the interconnect config echo.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -15,11 +20,14 @@ import numpy as np
 import pytest
 
 from hfast.apps import available_apps, synthesize
-from hfast.cache import validate_document
+from hfast.cache import ReproCache, validate_document
 from hfast.matrix import reduce_matrix
+from hfast.obs.profile import Observability
+from hfast.pipeline import analyze_app
 from hfast.records import Trace
 from hfast.timing import apply_timing
 from hfast.topology import analyze_topology
+from oracles import synthesize_reference
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CASES = [(app, n) for app in ("cactus", "gtc", "lbmhd", "paratec") for n in (8, 16)]
@@ -54,13 +62,36 @@ def test_matrix_matches_golden(app, nranks):
 
 @pytest.mark.parametrize("app,nranks", CASES)
 def test_scalar_backend_matches_golden(app, nranks):
-    """The reference per-record path must agree with the committed numbers."""
+    """The per-record reference generator must agree with the committed numbers."""
     golden = load_fixture(app, nranks)
-    trace = synthesize(app, nranks, backend="scalar")
+    trace = synthesize_reference(app, nranks)
     cm = reduce_matrix(trace.records, nranks)
     assert cm.bytes_matrix.tolist() == golden["bytes_matrix"]
     assert cm.total_bytes == golden["total_bytes"]
     assert trace.call_totals == golden["call_totals"]
+
+
+# sha256 of json.dumps(analyze_app(...), sort_keys=True) at the default
+# config and timing seed, from a fresh (empty) cache.
+SUMMARY_DIGESTS = {
+    "cactus_p8": "d68a7b7021892573e853ed54b1f28b3ba1bda5e6d649ac266ad211c33883af6b",
+    "cactus_p16": "55c87d75291c8a4b604f13cd2b79cc0d728168c8a7d833157ed6260917b07412",
+    "gtc_p8": "9857e78c13e9cad9b80d0c5a146396ac6933f36b22adb959e95389cc1850daff",
+    "gtc_p16": "89544fb398fb362d5e32237a286c84ee1f5cdbb1fafa987571479d64f6df8fa9",
+    "lbmhd_p8": "442592e40ef2b1c8a9606a0fc3bca56733392d2fe8642f57142728d02f4983d3",
+    "lbmhd_p16": "979b5bc1eac53b327f68798890355e4b8ef1730190ab5332b77be2bf2c8ddb65",
+    "paratec_p8": "8d699456aadd65bb7dec60da7758c949c91f11e159591628c3e3f7e1438a6863",
+    "paratec_p16": "2b4272160586794489825e08c183ccb2f773bd88dfec766236b5525da89bc702",
+}
+
+
+@pytest.mark.parametrize("app,nranks", CASES)
+def test_summary_digest_pinned(app, nranks, tmp_path):
+    cache = ReproCache(tmp_path, readonly=True)
+    summary = analyze_app(app, nranks, cache, Observability.disabled(), store=False)
+    assert summary["interconnect"]["config"]["matcher"] == "vector"
+    digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+    assert digest == SUMMARY_DIGESTS[f"{app}_p{nranks}"]
 
 
 @pytest.mark.parametrize("app,nranks", CASES)

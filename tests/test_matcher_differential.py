@@ -1,19 +1,22 @@
-"""Differential identity: scalar vs vector vs incremental matchers.
+"""Differential identity: the production matcher vs the reference matcher.
 
-The repo's byte-identity discipline applied to the matcher rewrite: all
-three backends must produce identical circuit assignments and identical
-temporal-evaluator outputs on every golden fixture, every synthesized
-app, and seeded random matrices — so backend choice can only ever move
-wall time, never results. Mirrors the 3-backend critical-path pinning
-from the scheduler work.
+The repo's byte-identity discipline applied to the matcher: the
+production columnar matcher (:mod:`hfast.matcher`) and the pure-Python
+reference in ``oracles.py`` must produce identical circuit assignments
+and identical evaluator outputs on every golden fixture, every
+synthesized app, and seeded random matrices. The evaluators are run
+once as shipped and once with the reference matcher and greedy baseline
+patched into :mod:`hfast.interconnect`.
 """
 
+import contextlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hfast import interconnect
 from hfast.apps import synthesize
 from hfast.interconnect import (
     InterconnectConfig,
@@ -21,12 +24,23 @@ from hfast.interconnect import (
     evaluate_hybrid,
     evaluate_temporal,
 )
-from hfast.matcher import MATCHERS
 from hfast.matrix import CommMatrix, reduce_matrix
+from oracles import greedy_circuits_reference, match_edges_reference
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = [(app, n) for app in ("cactus", "gtc", "lbmhd", "paratec") for n in (8, 16)]
 APPS = ("cactus", "gtc", "lbmhd", "paratec")
+IMPLEMENTATIONS = ("production", "reference")
+
+
+@contextlib.contextmanager
+def implementation(name):
+    """Run the evaluators on the production or the reference matcher."""
+    with pytest.MonkeyPatch.context() as mp:
+        if name == "reference":
+            mp.setattr(interconnect, "match_edges", match_edges_reference)
+            mp.setattr(interconnect, "greedy_circuits", greedy_circuits_reference)
+        yield
 
 
 def golden_matrix(app: str, nranks: int) -> CommMatrix:
@@ -38,50 +52,49 @@ def golden_matrix(app: str, nranks: int) -> CommMatrix:
     )
 
 
-def hybrid_doc(cm, backend, budget=4):
-    doc = evaluate_hybrid(
-        cm,
-        InterconnectConfig(circuits_per_node=budget, matcher=backend),
-        strategy="matching",
-    ).to_dict()
-    # The config echo legitimately names the backend; everything else
-    # must be byte-identical across backends.
-    assert doc["config"].pop("matcher") == backend
-    return json.dumps(doc, sort_keys=True)
+def hybrid_docs(cm, budget=4):
+    docs = []
+    for name in IMPLEMENTATIONS:
+        with implementation(name):
+            ev = evaluate_hybrid(
+                cm, InterconnectConfig(circuits_per_node=budget), strategy="matching"
+            )
+        docs.append(json.dumps(ev.to_dict(), sort_keys=True))
+    return docs
 
 
-def temporal_doc(cm, backend, timesteps=4, reconfig_cost=1e-3):
-    ev = evaluate_temporal(
-        cm,
-        InterconnectConfig(
-            timesteps=timesteps, reconfig_cost=reconfig_cost, matcher=backend
-        ),
-    )
-    return json.dumps(ev.to_dict(), sort_keys=True)
+def temporal_docs(cm, timesteps=4, reconfig_cost=1e-3):
+    docs = []
+    for name in IMPLEMENTATIONS:
+        with implementation(name):
+            ev = evaluate_temporal(
+                cm, InterconnectConfig(timesteps=timesteps, reconfig_cost=reconfig_cost)
+            )
+        docs.append(json.dumps(ev.to_dict(), sort_keys=True))
+    return docs
 
 
 @pytest.mark.parametrize("app,nranks", GOLDEN_CASES)
 @pytest.mark.parametrize("budget", [1, 2, 4])
 def test_assignment_identity_on_goldens(app, nranks, budget):
     cm = golden_matrix(app, nranks)
-    outs = [
-        assign_circuits_matching(cm.bytes_matrix, budget, backend=b) for b in MATCHERS
-    ]
-    assert outs[0] == outs[1] == outs[2]
+    outs = []
+    for name in IMPLEMENTATIONS:
+        with implementation(name):
+            outs.append(assign_circuits_matching(cm.bytes_matrix, budget))
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("app,nranks", GOLDEN_CASES)
 def test_hybrid_evaluation_identity_on_goldens(app, nranks):
-    cm = golden_matrix(app, nranks)
-    docs = [hybrid_doc(cm, b) for b in MATCHERS]
-    assert docs[0] == docs[1] == docs[2]
+    prod, ref = hybrid_docs(golden_matrix(app, nranks))
+    assert prod == ref
 
 
 @pytest.mark.parametrize("app,nranks", GOLDEN_CASES)
 def test_temporal_evaluation_identity_on_goldens(app, nranks):
-    cm = golden_matrix(app, nranks)
-    docs = [temporal_doc(cm, b) for b in MATCHERS]
-    assert docs[0] == docs[1] == docs[2]
+    prod, ref = temporal_docs(golden_matrix(app, nranks))
+    assert prod == ref
 
 
 @pytest.mark.parametrize("app", APPS)
@@ -89,12 +102,10 @@ def test_identity_on_synthesized_apps(app):
     """Beyond the goldens: freshly synthesized traces at a scale the
     fixtures don't pin."""
     cm = reduce_matrix(synthesize(app, 32).records, 32)
-    assert hybrid_doc(cm, "scalar") == hybrid_doc(cm, "vector") == hybrid_doc(cm, "incremental")
-    assert (
-        temporal_doc(cm, "scalar")
-        == temporal_doc(cm, "vector")
-        == temporal_doc(cm, "incremental")
-    )
+    prod, ref = hybrid_docs(cm)
+    assert prod == ref
+    prod, ref = temporal_docs(cm)
+    assert prod == ref
 
 
 def test_identity_on_seeded_random_matrices():
@@ -111,58 +122,54 @@ def test_identity_on_seeded_random_matrices():
         T = int(rng.integers(1, 6))
         cost = float(rng.choice([0.0, 1e-4, 1e-3]))
         budget = int(rng.integers(1, 5))
-        docs = [temporal_doc(cm, b, timesteps=T, reconfig_cost=cost) for b in MATCHERS]
-        assert docs[0] == docs[1] == docs[2], f"trial {trial}"
-        hdocs = [hybrid_doc(cm, b, budget=budget) for b in MATCHERS]
-        assert hdocs[0] == hdocs[1] == hdocs[2], f"trial {trial}"
+        prod, ref = temporal_docs(cm, timesteps=T, reconfig_cost=cost)
+        assert prod == ref, f"trial {trial}"
+        prod, ref = hybrid_docs(cm, budget=budget)
+        assert prod == ref, f"trial {trial}"
 
 
 def test_identity_on_tie_heavy_matrices():
     """Uniform weights maximize tie-breaking pressure — the regime where
-    backend order equivalence is most fragile."""
+    order equivalence is most fragile."""
     for n in (5, 8, 13):
         w = np.full((n, n), 7, dtype=np.int64)
         np.fill_diagonal(w, 0)
         cm = CommMatrix(nranks=n, bytes_matrix=w, msg_matrix=(w > 0).astype(np.int64))
-        assert (
-            hybrid_doc(cm, "scalar") == hybrid_doc(cm, "vector") == hybrid_doc(cm, "incremental")
-        )
-        docs = [temporal_doc(cm, b) for b in MATCHERS]
-        assert docs[0] == docs[1] == docs[2]
+        prod, ref = hybrid_docs(cm)
+        assert prod == ref
+        prod, ref = temporal_docs(cm)
+        assert prod == ref
 
 
 def test_temporal_reduces_to_static_matching_for_all_backends():
     """T=1 + zero reconfig cost must reproduce the static matching
-    evaluation exactly under every backend, not just the default."""
+    evaluation exactly, on the production and the reference matcher."""
+    config = InterconnectConfig(timesteps=1, reconfig_cost=0.0)
     for app, nranks in GOLDEN_CASES:
         cm = golden_matrix(app, nranks)
-        for backend in MATCHERS:
-            config = InterconnectConfig(timesteps=1, reconfig_cost=0.0, matcher=backend)
-            temporal = evaluate_temporal(cm, config)
-            static = evaluate_hybrid(cm, config, strategy="matching")
+        for name in IMPLEMENTATIONS:
+            with implementation(name):
+                temporal = evaluate_temporal(cm, config)
+                static = evaluate_hybrid(cm, config, strategy="matching")
             assert temporal.circuit_bytes == static.circuit_bytes
             assert temporal.hybrid_time == static.hybrid_time
             assert temporal.packet_only_time == static.packet_only_time
 
 
 def test_pipeline_results_identical_across_backends(tmp_path):
-    """End-to-end: full pipeline summaries are identical modulo the
-    config echo naming the backend."""
+    """End-to-end: full pipeline summaries are identical on the
+    production and the reference matcher."""
     from hfast.pipeline import run_pipeline
 
-    docs = {}
-    for backend in MATCHERS:
-        out = run_pipeline(
-            apps=["gtc", "cactus"],
-            scales={"gtc": [16], "cactus": [16]},
-            cache_dir=str(tmp_path / "cache"),
-            store=False,
-            config=InterconnectConfig(matcher=backend),
-            bench_dir=None,
-        )
-        results = out["results"]
-        for r in results:
-            assert r["interconnect"]["config"].pop("matcher") == backend
-        docs[backend] = json.dumps(results, sort_keys=True)
-        assert out["manifest"]["matcher"] == backend
-    assert docs["scalar"] == docs["vector"] == docs["incremental"]
+    docs = []
+    for name in IMPLEMENTATIONS:
+        with implementation(name):
+            out = run_pipeline(
+                apps=["gtc", "cactus"],
+                scales={"gtc": [16], "cactus": [16]},
+                cache_dir=str(tmp_path / "cache"),
+                store=False,
+                bench_dir=None,
+            )
+        docs.append(json.dumps(out["results"], sort_keys=True))
+    assert docs[0] == docs[1]

@@ -1,10 +1,10 @@
-"""Property tests for the edge-columnar matcher backends.
+"""Property tests for the edge-columnar matcher.
 
 Seeded sweeps (plus hypothesis sweeps when the library is installed)
-asserting the invariants every backend must satisfy on arbitrary
+asserting the invariants the matcher must satisfy on arbitrary
 matrices: degree bounds, self-loop/zero-weight exclusion, matched weight
-never below the greedy seed, scalar/vector seed equality, and
-incremental == from-scratch over random edge-delta sequences.
+never below the greedy seed, and equality with the reference matcher in
+``oracles.py`` (seed and full match).
 """
 
 import numpy as np
@@ -12,15 +12,17 @@ import pytest
 
 from hfast.interconnect import InterconnectConfig, evaluate_temporal, slice_traffic
 from hfast.matcher import (
-    MATCHERS,
-    IncrementalMatcher,
     canonical_edges,
     greedy_circuits,
-    greedy_seed_scalar,
     greedy_seed_vector,
     match_edges,
 )
 from hfast.matrix import CommMatrix
+from oracles import greedy_seed_scalar, match_edges_reference
+
+# The reference matcher (sequential seed, per-edge filters) and the
+# production columnar matcher, keyed by the names the tests report.
+MATCHERS = {"scalar": match_edges_reference, "vector": match_edges}
 
 
 def random_weights(rng, n, density=0.5, max_w=50, with_diag=True):
@@ -59,7 +61,7 @@ def test_degree_bounds_random_sweep(backend):
         bound = int(rng.integers(0, 5))
         w = random_weights(rng, n, density=float(rng.uniform(0.1, 1.0)))
         src, dst, wc = canonical_edges(w)
-        circuits = match_edges(src, dst, wc, n, bound, backend=backend, presorted=True)
+        circuits = MATCHERS[backend](src, dst, wc, n, bound, presorted=True)
         check_degrees(circuits, n, bound)
         if bound == 0:
             assert circuits == []
@@ -86,8 +88,8 @@ def test_matched_weight_never_below_greedy():
         bound = int(rng.integers(1, 4))
         w = random_weights(rng, n, density=float(rng.uniform(0.2, 1.0)))
         greedy = greedy_circuits(w, n, bound)
-        for backend in MATCHERS:
-            circuits = match_edges(*canonical_edges(w), n, bound, backend=backend, presorted=True)
+        for match in MATCHERS.values():
+            circuits = match(*canonical_edges(w), n, bound, presorted=True)
             assert matched_weight(w, circuits) >= matched_weight(w, greedy)
 
 
@@ -97,8 +99,8 @@ def test_zero_weight_edges_never_matched():
     w[0, 1] = 0  # explicit zero-weight edge
     w[1, 2] = 7
     w[2, 2] = 99  # heavy self-loop
-    for backend in MATCHERS:
-        circuits = match_edges(*canonical_edges(w), n, 4, backend=backend, presorted=True)
+    for match in MATCHERS.values():
+        circuits = match(*canonical_edges(w), n, 4, presorted=True)
         assert circuits == [(1, 2)]
 
 
@@ -112,10 +114,8 @@ def test_uniform_all_to_all_saturates_every_endpoint():
         for bound in (1, 2, 3):
             greedy = greedy_circuits(w, n, bound)
             assert len(greedy) == n * min(bound, n - 1)
-            for backend in MATCHERS:
-                circuits = match_edges(
-                    *canonical_edges(w), n, bound, backend=backend, presorted=True
-                )
+            for match in MATCHERS.values():
+                circuits = match(*canonical_edges(w), n, bound, presorted=True)
                 assert len(circuits) == n * min(bound, n - 1)
                 check_degrees(circuits, n, bound)
 
@@ -140,74 +140,6 @@ def test_symmetric_matrix_keeps_per_direction_budgets_independent():
             fwd = sum(int(w[s, d]) for s, d in cset)
             rev = sum(int(w[d, s]) for s, d in cset)
             assert fwd == rev  # w symmetric: per-edge weights equal
-
-
-def test_incremental_equals_from_scratch_over_delta_sequences():
-    rng = np.random.default_rng(23)
-    for trial in range(25):
-        n = int(rng.integers(2, 16))
-        bound = int(rng.integers(1, 4))
-        src, dst = np.nonzero(np.ones((n, n)))
-        keep = src != dst
-        inc = IncrementalMatcher(src[keep], dst[keep], n, bound)
-        w = random_weights(rng, n, density=0.6, with_diag=False).astype(np.float64)
-        for _ in range(10):
-            got = inc.rematch_dense(w)
-            want = match_edges(*canonical_edges(w), n, bound, presorted=True)
-            assert got == want
-            # Arbitrary delta: zero edges, single edge, or a burst; also
-            # sometimes no change at all (the cached-result fast path).
-            for _ in range(int(rng.integers(0, 6))):
-                i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
-                w[i, j] = float(rng.integers(0, 50))
-        assert inc.stats["steps"] == 10
-        assert (
-            inc.stats["unchanged_hits"]
-            + inc.stats["order_reuses"]
-            + inc.stats["full_resorts"]
-        ) == 10
-
-
-def test_incremental_unchanged_step_hits_cache():
-    n, bound = 8, 2
-    rng = np.random.default_rng(29)
-    w = random_weights(rng, n, density=0.7, with_diag=False).astype(np.float64)
-    inc = IncrementalMatcher.from_dense(np.ones((n, n)) - np.eye(n), bound)
-    first = inc.rematch_dense(w)
-    second = inc.rematch_dense(w)
-    assert first == second
-    assert inc.stats["unchanged_hits"] == 1
-    # The cached list must be a copy: mutating it cannot poison the cache.
-    second.append((0, 0))
-    assert inc.rematch_dense(w) == first
-
-
-def test_incremental_order_preserving_delta_skips_resort():
-    """Scaling every weight uniformly preserves the canonical order, so
-    the incremental matcher reuses the cached sort instead of re-sorting."""
-    n, bound = 10, 2
-    rng = np.random.default_rng(31)
-    w = (rng.integers(1, 100, size=(n, n)) * (1 - np.eye(n, dtype=np.int64))).astype(
-        np.float64
-    )
-    inc = IncrementalMatcher.from_dense(np.ones((n, n)) - np.eye(n), bound)
-    inc.rematch_dense(w)
-    inc.rematch_dense(w * 2.0)
-    assert inc.stats["order_reuses"] == 1
-    assert inc.rematch_dense(w * 2.0) == match_edges(
-        *canonical_edges(w * 2.0), n, bound, presorted=True
-    )
-
-
-def test_incremental_rejects_wrong_shape():
-    inc = IncrementalMatcher(np.array([0, 1]), np.array([1, 0]), 2, 1)
-    with pytest.raises(ValueError):
-        inc.rematch(np.ones(3))
-
-
-def test_unknown_backend_raises():
-    with pytest.raises(ValueError):
-        match_edges(np.array([0]), np.array([1]), np.array([1.0]), 2, 1, backend="nope")
 
 
 def test_slice_traffic_conserves_message_only_links():
@@ -247,19 +179,6 @@ def test_temporal_empty_step_keeps_configuration_standing():
     assert all(s["changes"] == 0 for s in ev.per_step)
 
 
-def test_temporal_matcher_backends_share_stats_field():
-    rng = np.random.default_rng(37)
-    w = random_weights(rng, 8, density=0.5, with_diag=False)
-    cm = CommMatrix(nranks=8, bytes_matrix=w, msg_matrix=(w > 0).astype(np.int64))
-    for backend in MATCHERS:
-        ev = evaluate_temporal(cm, InterconnectConfig(timesteps=4, matcher=backend))
-        if backend == "incremental":
-            assert ev.matcher_stats is not None
-            assert ev.matcher_stats["steps"] == 4
-        else:
-            assert ev.matcher_stats is None
-
-
 # -- hypothesis sweeps (skipped when the library is unavailable) --------------
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -277,33 +196,8 @@ def test_hypothesis_backend_identity_and_degrees(n, bound, seed, max_w):
     rng = np.random.default_rng(seed)
     w = random_weights(rng, n, density=float(rng.uniform(0.05, 1.0)), max_w=max_w)
     src, dst, wc = canonical_edges(w)
-    outs = [
-        match_edges(src, dst, wc, n, bound, backend=b, presorted=True) for b in MATCHERS
-    ]
-    assert outs[0] == outs[1] == outs[2]
+    outs = [match(src, dst, wc, n, bound, presorted=True) for match in MATCHERS.values()]
+    assert outs[0] == outs[1]
     check_degrees(outs[0], n, bound)
     greedy = greedy_circuits(w, n, bound)
     assert matched_weight(w, outs[0]) >= matched_weight(w, greedy)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    n=st.integers(min_value=2, max_value=10),
-    bound=st.integers(min_value=1, max_value=3),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    steps=st.integers(min_value=2, max_value=6),
-)
-def test_hypothesis_incremental_matches_scratch(n, bound, seed, steps):
-    rng = np.random.default_rng(seed)
-    src, dst = np.nonzero(np.ones((n, n)))
-    keep = src != dst
-    inc = IncrementalMatcher(src[keep], dst[keep], n, bound)
-    w = random_weights(rng, n, density=0.5, with_diag=False).astype(np.float64)
-    for _ in range(steps):
-        assert inc.rematch_dense(w) == match_edges(
-            *canonical_edges(w), n, bound, presorted=True
-        )
-        for _ in range(int(rng.integers(0, 4))):
-            w[int(rng.integers(0, n)), int(rng.integers(0, n))] = float(
-                rng.integers(0, 20)
-            )

@@ -6,12 +6,14 @@ runs ``pytest -m slow``. The tests stay columnar throughout — a dense
 32K matrix is 8.6 GB per plane, far beyond the CI runner — so scale
 coverage is matcher-level over synthetic sparse topologies plus the
 paper apps' real link structures (cactus 3D ghost exchange, gtc 1D
-shift) built from the vectorized pair generators in :mod:`hfast.apps`.
+shift) built from the pair generators in :mod:`hfast.apps`.
 
-The scalar backend is O(E) Python per pass and would dominate the job's
-wall time at 32K, so the from-scratch baseline at full scale is the
-vector backend (itself pinned against scalar at mid-scale here and
-exhaustively at small scale in the differential suite).
+The reference matcher in ``oracles.py`` is O(E) Python per pass and
+would dominate the job's wall time at 32K, so full-scale tests check
+invariants (degree bounds, weight floor, saturation) and the greedy seed
+against the sequential reference scan; the full match is pinned against
+the reference at 2K here and exhaustively at small scale in the
+differential suite.
 """
 
 import time
@@ -19,14 +21,9 @@ import time
 import numpy as np
 import pytest
 
-from hfast.apps import _factor3, _ghost_pairs_vec
-from hfast.matcher import (
-    IncrementalMatcher,
-    greedy_seed_scalar,
-    greedy_seed_vector,
-    match_edges,
-    sort_edges,
-)
+from hfast.apps import _factor3, _ghost_pairs
+from hfast.matcher import greedy_seed_vector, match_edges, sort_edges
+from oracles import greedy_seed_scalar, match_edges_reference
 
 pytestmark = pytest.mark.slow
 
@@ -104,57 +101,22 @@ def test_vector_match_degree_and_weight_floor_at_32k():
     ss, sd, sw = sort_edges(src, dst, w, n)
     seed = greedy_seed_vector(ss, sd, sw, n, 2)
     seed_weight = float(sw[np.asarray(seed, dtype=np.int64)].sum()) if seed else 0.0
-    circuits = match_edges(src, dst, w, n, bound=2, backend="vector")
+    circuits = match_edges(src, dst, w, n, bound=2)
     check_degrees(circuits, 2)
     assert matched_weight(circuits, src, dst, w, n) >= seed_weight
-
-
-def test_incremental_identity_at_32k():
-    """Six steps of evolving weights: the incremental matcher must stay
-    byte-identical to from-scratch vector matching through sparse deltas,
-    an unchanged step, and an order-preserving global rescale."""
-    n = 32768
-    src, dst = sparse_topology(n)
-    inc = IncrementalMatcher(src, dst, n, bound=1)
-    base = hashed_weights(inc.src, inc.dst, n, salt=3)
-    rng = np.random.default_rng(11)
-
-    steps = [base.copy()]
-    delta = base.copy()  # sparse delta: ~1% of edges change
-    touch = rng.choice(len(delta), size=len(delta) // 100, replace=False)
-    delta[touch] = hashed_weights(inc.src[touch], inc.dst[touch], n, salt=4)
-    steps.append(delta)
-    steps.append(delta.copy())  # unchanged
-    steps.append(delta * 2.0)  # order-preserving rescale
-    zeroed = delta * 2.0
-    zeroed[touch] = 0.0  # support shrinks: edges drop out
-    steps.append(zeroed)
-    steps.append(base.copy())  # revert
-
-    for i, w in enumerate(steps):
-        got = inc.rematch(w)
-        ref = match_edges(inc.src, inc.dst, w, n, bound=1, backend="vector")
-        assert got == ref, f"step {i} diverged from from-scratch"
-        check_degrees(got, 1)
-    assert inc.stats["steps"] == len(steps)
-    assert inc.stats["unchanged_hits"] == 1
-    assert inc.stats["order_reuses"] >= 1
 
 
 # -- paper-app link structures at 32K -----------------------------------------
 
 
-def test_cactus_ghost_topology_at_32k_is_tie_heavy_and_identical():
+def test_cactus_ghost_topology_at_32k_is_tie_heavy():
     """cactus at 32K is a 32x32x32 grid: every ghost link carries the
     same bytes, so the whole topology is one giant tie group — maximum
     pressure on the stripe tie-break at full scale."""
     n = 32768
-    ranks, peers = _ghost_pairs_vec(n, _factor3(n))
+    ranks, peers = _ghost_pairs(n, _factor3(n))
     w = np.full(len(ranks), 294912.0)
-    vec = match_edges(ranks, peers, w, n, bound=2, backend="vector")
-    inc = IncrementalMatcher(ranks, peers, n, bound=2)
-    got = inc.rematch(w[inc.input_order])
-    assert got == vec
+    vec = match_edges(ranks, peers, w, n, bound=2)
     check_degrees(vec, 2)
     # Every rank has 6 distinct neighbours in a 32^3 torus, so budget 2
     # is nearly saturable; the grid-boundary wrap links perturb the
@@ -169,26 +131,24 @@ def test_gtc_shift_topology_at_32k_saturates_budget_1():
     src = np.concatenate([r, r])
     dst = np.concatenate([(r + 1) % n, (r - 1) % n])
     w = np.concatenate([np.full(n, 524288.0), np.full(n, 524288.0)])
-    circuits = match_edges(src, dst, w, n, bound=1, backend="vector")
+    circuits = match_edges(src, dst, w, n, bound=1)
     check_degrees(circuits, 1)
     assert len(circuits) == n
 
 
-# -- mid-scale: scalar joins the differential ---------------------------------
+# -- mid-scale: the reference matcher joins the differential ------------------
 
 
-def test_three_way_identity_at_2k():
-    """Full 3-way identity with the scalar backend in the loop at the
-    largest scale its Python passes stay affordable."""
+def test_reference_identity_at_2k():
+    """Production vs reference matcher at the largest scale the
+    reference's Python passes stay affordable."""
     n = 2048
     src, dst = sparse_topology(n, extra_per_rank=3, seed=13)
     w = hashed_weights(src, dst, n, salt=5)
-    outs = [
-        match_edges(src, dst, w, n, bound=2, backend=b)
-        for b in ("scalar", "vector", "incremental")
-    ]
-    assert outs[0] == outs[1] == outs[2]
-    check_degrees(outs[0], 2)
+    prod = match_edges(src, dst, w, n, bound=2)
+    ref = match_edges_reference(src, dst, w, n, bound=2)
+    assert prod == ref
+    check_degrees(prod, 2)
 
 
 # -- 128K: vector greedy smoke ------------------------------------------------

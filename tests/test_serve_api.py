@@ -87,7 +87,7 @@ def test_finished_job_resubmission_is_cache_hit_without_reexecution(tmp_path):
         assert metrics_value(port, "hfast_serve_jobs_executed") == 1.0
 
         # Same spec, different field order and defaults spelled out.
-        resubmit = {"nranks": 8, "app": "cactus", "timing_seed": 0, "matcher": "vector"}
+        resubmit = {"nranks": 8, "app": "cactus", "timing_seed": 0, "timesteps": 4}
         status, _, raw = request(port, "POST", "/v1/jobs", resubmit)
         doc = json.loads(raw)
         assert status == 200
@@ -150,6 +150,17 @@ def test_malformed_submission_table(tmp_path, label, body, raw_body, expected):
             assert doc.get("errors"), doc
         # Nothing was admitted.
         assert metrics_value(service.port, "hfast_serve_jobs_executed") in (None, 0.0)
+
+
+@pytest.mark.parametrize("field", ["backend", "matcher"])
+def test_removed_field_gets_400_naming_it(tmp_path, field):
+    config = make_config(tmp_path)
+    with ServiceThread(config) as service:
+        status, _, raw = request(
+            service.port, "POST", "/v1/jobs", {**SPEC, field: "vector"}
+        )
+        assert status == 400
+        assert f"unknown field(s): {field}" in json.loads(raw)["errors"]
 
 
 def test_unknown_routes_and_methods(tmp_path):

@@ -99,6 +99,37 @@ def test_restart_reexecutes_job_left_queued_by_a_crash(tmp_path):
         assert status == 200 and served
 
 
+def test_restart_fails_pre_format2_ledger_entry_and_keeps_serving(tmp_path):
+    """A ledger entry written before the ``backend``/``matcher`` fields were
+    removed cannot be re-admitted: it is marked failed, and the daemon
+    goes on serving new submissions."""
+    ledger = JobLedger(tmp_path / "serve" / "jobs")
+    old_payload = {
+        **canonicalize(SPEC).payload(),
+        "backend": "vector",
+        "matcher": "vector",
+    }
+    ledger.write(
+        {
+            "job_id": "oldformat-000001",
+            "key": "0" * 64,
+            "cell": "cactus_p8",
+            "status": "queued",
+            "run_id": "20260101-000000-0ld000",
+            "spec": old_payload,
+        }
+    )
+    with ServiceThread(make_config(tmp_path)) as service:
+        job = wait_for_job(service.port, "oldformat-000001")
+        assert job["status"] == "failed"
+        assert job["error"].startswith("unrecoverable spec:")
+        assert "backend" in job["error"] and "matcher" in job["error"]
+
+        status, _, raw = request(service.port, "POST", "/v1/jobs", SPEC)
+        assert status == 202
+        assert wait_for_job(service.port, json.loads(raw)["job_id"])["status"] == "done"
+
+
 def test_restart_resumes_interrupted_job_from_journal(tmp_path):
     """A journaled cell is replayed, not re-run, and bytes are identical."""
     spec = canonicalize(SPEC)

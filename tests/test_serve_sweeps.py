@@ -22,7 +22,6 @@ from serve_util import ServiceThread, make_config, request, wait_for_job
 SPACE_DOC = {
     "circuits": [1, 4],
     "reconfig_costs": [0.0],
-    "matchers": ["vector"],
     "timesteps": [2],
 }
 SWEEP = {"app": "gtc", "nranks": 8, "space": SPACE_DOC, "strategy": "grid", "seed": 0}

@@ -112,7 +112,7 @@ def test_collectives_scale_with_log_tree_stages():
 def test_scalar_vector_batch_parity():
     """time_batch and time_record agree bit-for-bit on every record."""
     for app in ALL_APPS:
-        trace = synthesize(app, 16, backend="scalar", timing_seed=None)
+        trace = synthesize(app, 16, timing_seed=None)
         records = trace.records
         batch = RecordBatch.from_records(records)
         model = TimingModel(app, 16, seed=3)
