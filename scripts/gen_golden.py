@@ -40,7 +40,7 @@ GOLDEN_SCALES = (8, 16)
 def build_fixture(app: str, nranks: int) -> dict:
     trace = synthesize(app, nranks, timing_seed=DEFAULT_TIMING_SEED)
     batch = trace.ensure_batch()
-    cm = reduce_matrix(batch if batch is not None else trace.records, nranks)
+    cm = reduce_matrix(batch, nranks)
     topo = analyze_topology(cm)
     comm_time_s = float(np.sum(batch.total_time))
     compute_time_s = TimingModel(app, nranks, seed=DEFAULT_TIMING_SEED).compute_time(None)

@@ -11,7 +11,11 @@ read shim — the deterministic LogGP model re-synthesizes their timing at
 load time, so downstream analysis sees the same trace either way.
 
 Every load runs the schema validator; a malformed file raises
-:class:`CacheValidationError` naming the offending path and field.
+:class:`CacheValidationError` naming the offending path and field. A
+document that passes loads straight into one columnar
+:class:`~hfast.records.RecordBatch`, so the validator is also the type
+gate for it: rank/size/peer/count must be ints (not floats, not bools),
+call and region strings, and every record must share one region.
 """
 
 from __future__ import annotations
@@ -45,7 +49,9 @@ _REQUIRED_RECORD_KEYS = (
     "min_time",
     "max_time",
 )
-_NON_NEGATIVE_RECORD_KEYS = ("rank", "size", "peer", "count", "total_time", "min_time", "max_time")
+_INT_RECORD_KEYS = ("rank", "size", "peer", "count")
+_TIME_RECORD_KEYS = ("total_time", "min_time", "max_time")
+_STR_RECORD_KEYS = ("call", "region")
 
 
 class CacheValidationError(ValueError):
@@ -113,18 +119,38 @@ def validate_document(doc: Any, path: str | os.PathLike | None = None) -> None:
     records = doc["records"]
     if not isinstance(records, list):
         raise CacheValidationError(path, "'records' must be a list")
+    region = None  # the document's one region, set by records[0]
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise CacheValidationError(path, f"records[{i}] must be an object")
         for key in _REQUIRED_RECORD_KEYS:
             if key not in rec:
                 raise CacheValidationError(path, f"records[{i}] missing required field '{key}'")
-        for key in _NON_NEGATIVE_RECORD_KEYS:
+        for key in _INT_RECORD_KEYS:
+            value = rec[key]
+            if type(value) is not int or value < 0:
+                raise CacheValidationError(
+                    path, f"records[{i}].{key} must be a non-negative int, got {value!r}"
+                )
+        for key in _TIME_RECORD_KEYS:
             value = rec[key]
             if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
                 raise CacheValidationError(
                     path, f"records[{i}].{key} must be non-negative, got {value!r}"
                 )
+        for key in _STR_RECORD_KEYS:
+            if type(rec[key]) is not str:
+                raise CacheValidationError(
+                    path, f"records[{i}].{key} must be a string, got {rec[key]!r}"
+                )
+        if region is None:
+            region = rec["region"]
+        elif rec["region"] != region:
+            raise CacheValidationError(
+                path,
+                f"records[{i}].region={rec['region']!r} differs from "
+                f"records[0].region={region!r}; a document carries one region",
+            )
         for key in ("rank", "peer"):
             if rec[key] >= nranks:
                 raise CacheValidationError(

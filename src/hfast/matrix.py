@@ -10,12 +10,11 @@ never double-counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from hfast.obs.profile import profiled
-from hfast.records import RECV_CALLS, SEND_CALLS, CommRecord, RecordBatch
+from hfast.records import RECV_CALLS, SEND_CALLS, RecordBatch
 
 
 @dataclass
@@ -64,69 +63,42 @@ class CommMatrix:
 
 
 @profiled("matrix_reduce")
-def reduce_matrix(records: Iterable[CommRecord] | RecordBatch, nranks: int) -> CommMatrix:
-    """Build the communication matrix from point-to-point records.
+def reduce_matrix(batch: RecordBatch, nranks: int) -> CommMatrix:
+    """Build the communication matrix from a batch's point-to-point records.
 
-    Accepts either an iterable of :class:`CommRecord` or a columnar
-    :class:`RecordBatch`. Record lists are columnarized up front so both
-    representations run the same vectorized reduction (and produce the
-    same float64 sums); only a multi-region record list — which
-    :meth:`RecordBatch.from_records` cannot represent — falls back to the
-    per-record loop.
+    Send records land at ``[rank, peer]``, receive records at
+    ``[peer, rank]``; the two planes combine by elementwise max. Records
+    with zero size or a self peer move nothing and are skipped.
     """
-    if not isinstance(records, RecordBatch):
-        recs = records if isinstance(records, list) else list(records)
-        try:
-            records = RecordBatch.from_records(recs)
-        except ValueError:
-            records = recs
     send_bytes = np.zeros((nranks, nranks), dtype=np.int64)
     send_msgs = np.zeros((nranks, nranks), dtype=np.int64)
     send_time = np.zeros((nranks, nranks), dtype=np.float64)
     recv_bytes = np.zeros((nranks, nranks), dtype=np.int64)
     recv_msgs = np.zeros((nranks, nranks), dtype=np.int64)
     recv_time = np.zeros((nranks, nranks), dtype=np.float64)
-    if isinstance(records, RecordBatch):
-        b = records
-        active = (b.size > 0) & (b.rank != b.peer)
-        moved = b.size.astype(np.int64) * b.count
-        for mask, by, ms, tm, flip in (
-            (b.call_mask(SEND_CALLS) & active, send_bytes, send_msgs, send_time, False),
-            (b.call_mask(RECV_CALLS) & active, recv_bytes, recv_msgs, recv_time, True),
-        ):
-            src = b.peer[mask] if flip else b.rank[mask]
-            dst = b.rank[mask] if flip else b.peer[mask]
-            # bincount over flattened (src, dst) is far faster than
-            # np.add.at's scattered adds on multi-million-record batches;
-            # float64 accumulation is exact for the < 2^53 sums seen here.
-            flat = src.astype(np.int64) * nranks + dst
-            by += np.bincount(
-                flat, weights=moved[mask].astype(np.float64), minlength=nranks * nranks
-            ).reshape(nranks, nranks).astype(np.int64)
-            ms += np.bincount(
-                flat, weights=b.count[mask].astype(np.float64), minlength=nranks * nranks
-            ).reshape(nranks, nranks).astype(np.int64)
-            if b.has_times:
-                tm += np.bincount(
-                    flat, weights=b.total_time[mask], minlength=nranks * nranks
-                ).reshape(nranks, nranks)
-        return CommMatrix(
-            nranks=nranks,
-            bytes_matrix=np.maximum(send_bytes, recv_bytes),
-            msg_matrix=np.maximum(send_msgs, recv_msgs),
-            time_matrix=np.maximum(send_time, recv_time),
-        )
-    for r in records:
-        if not r.is_ptp or r.size <= 0 or r.rank == r.peer:
-            continue
-        if r.is_send:
-            send_bytes[r.rank, r.peer] += r.bytes_moved
-            send_msgs[r.rank, r.peer] += r.count
-            send_time[r.rank, r.peer] += r.total_time
-        elif r.is_recv:
-            recv_bytes[r.peer, r.rank] += r.bytes_moved
-            recv_msgs[r.peer, r.rank] += r.count
-            recv_time[r.peer, r.rank] += r.total_time
+    b = batch
+    active = (b.size > 0) & (b.rank != b.peer)
+    moved = b.size.astype(np.int64) * b.count
+    for mask, by, ms, tm, flip in (
+        (b.call_mask(SEND_CALLS) & active, send_bytes, send_msgs, send_time, False),
+        (b.call_mask(RECV_CALLS) & active, recv_bytes, recv_msgs, recv_time, True),
+    ):
+        src = b.peer[mask] if flip else b.rank[mask]
+        dst = b.rank[mask] if flip else b.peer[mask]
+        # bincount over flattened (src, dst) is far faster than
+        # np.add.at's scattered adds on multi-million-record batches;
+        # float64 accumulation is exact for the < 2^53 sums seen here.
+        flat = src.astype(np.int64) * nranks + dst
+        by += np.bincount(
+            flat, weights=moved[mask].astype(np.float64), minlength=nranks * nranks
+        ).reshape(nranks, nranks).astype(np.int64)
+        ms += np.bincount(
+            flat, weights=b.count[mask].astype(np.float64), minlength=nranks * nranks
+        ).reshape(nranks, nranks).astype(np.int64)
+        if b.has_times:
+            tm += np.bincount(
+                flat, weights=b.total_time[mask], minlength=nranks * nranks
+            ).reshape(nranks, nranks)
     return CommMatrix(
         nranks=nranks,
         bytes_matrix=np.maximum(send_bytes, recv_bytes),

@@ -33,7 +33,6 @@ with per-cell timings and cache statistics once the run completes.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import os
 import time
@@ -120,35 +119,25 @@ def _observe_sizes(
 ) -> dict[int, int]:
     """Message-size bucket table; feeds the obs histograms when enabled.
 
-    Uses the columnar batch when the trace has one (unique sizes only, with
-    aggregated weights), so a million-record trace costs a handful of
-    ``observe`` calls instead of one per record.
+    Works on unique sizes with aggregated weights, so a million-record
+    trace costs a handful of ``observe`` calls instead of one per record.
     """
     local_buckets: dict[int, int] = {}
     size_hist = obs.metrics.histogram("msg_size_bytes") if obs.enabled else None
     app_hist = obs.metrics.histogram(f"msg_size_bytes.{app}") if obs.enabled else None
-    if trace.batch is not None:
-        b = trace.batch
-        mask = b.call_mask(SEND_CALLS) & (b.size > 0)
-        if mask.any():
-            sizes = b.size[mask]
-            uniq, inv = np.unique(sizes, return_inverse=True)
-            weights = np.bincount(inv, weights=b.count[mask].astype(np.float64))
-            for s, w in zip(uniq.tolist(), weights.tolist()):
-                w = int(w)
-                edge = log2_bucket(s)
-                local_buckets[edge] = local_buckets.get(edge, 0) + w
-                if size_hist is not None:
-                    size_hist.observe(s, weight=w)
-                    app_hist.observe(s, weight=w)
-        return local_buckets
-    for rec in trace.records:
-        if rec.is_send and rec.size > 0:
-            edge = log2_bucket(rec.size)
-            local_buckets[edge] = local_buckets.get(edge, 0) + rec.count
+    b = trace.batch
+    mask = b.call_mask(SEND_CALLS) & (b.size > 0)
+    if mask.any():
+        sizes = b.size[mask]
+        uniq, inv = np.unique(sizes, return_inverse=True)
+        weights = np.bincount(inv, weights=b.count[mask].astype(np.float64))
+        for s, w in zip(uniq.tolist(), weights.tolist()):
+            w = int(w)
+            edge = log2_bucket(s)
+            local_buckets[edge] = local_buckets.get(edge, 0) + w
             if size_hist is not None:
-                size_hist.observe(rec.size, weight=rec.count)
-                app_hist.observe(rec.size, weight=rec.count)
+                size_hist.observe(s, weight=w)
+                app_hist.observe(s, weight=w)
     return local_buckets
 
 
@@ -159,35 +148,27 @@ def _observe_latencies(
 
     The mean latency of an aggregated record is ``total_time / count``;
     each record contributes its ``count`` calls at that latency. Like
-    :func:`_observe_sizes`, the columnar path collapses duplicate
-    latencies before touching the histogram instruments.
+    :func:`_observe_sizes`, duplicate latencies collapse before touching
+    the histogram instruments. An untimed trace has no latencies.
     """
     local_buckets: dict[int, int] = {}
     lat_hist = obs.metrics.histogram("call_latency_usec") if obs.enabled else None
     app_hist = obs.metrics.histogram(f"call_latency_usec.{app}") if obs.enabled else None
-    if trace.batch is not None and trace.batch.has_times:
-        b = trace.batch
-        mask = b.count > 0
-        if mask.any():
-            mean_usec = (b.total_time[mask] / b.count[mask]) * 1e6
-            uniq, inv = np.unique(mean_usec, return_inverse=True)
-            weights = np.bincount(inv, weights=b.count[mask].astype(np.float64))
-            for v, w in zip(uniq.tolist(), weights.tolist()):
-                w = int(w)
-                edge = log2_bucket(v)
-                local_buckets[edge] = local_buckets.get(edge, 0) + w
-                if lat_hist is not None:
-                    lat_hist.observe(v, weight=w)
-                    app_hist.observe(v, weight=w)
+    b = trace.batch
+    if not b.has_times:
         return local_buckets
-    for rec in trace.records:
-        if rec.count > 0 and rec.total_time > 0.0:
-            v = (rec.total_time / rec.count) * 1e6
+    mask = b.count > 0
+    if mask.any():
+        mean_usec = (b.total_time[mask] / b.count[mask]) * 1e6
+        uniq, inv = np.unique(mean_usec, return_inverse=True)
+        weights = np.bincount(inv, weights=b.count[mask].astype(np.float64))
+        for v, w in zip(uniq.tolist(), weights.tolist()):
+            w = int(w)
             edge = log2_bucket(v)
-            local_buckets[edge] = local_buckets.get(edge, 0) + rec.count
+            local_buckets[edge] = local_buckets.get(edge, 0) + w
             if lat_hist is not None:
-                lat_hist.observe(v, weight=rec.count)
-                app_hist.observe(v, weight=rec.count)
+                lat_hist.observe(v, weight=w)
+                app_hist.observe(v, weight=w)
     return local_buckets
 
 
@@ -198,10 +179,8 @@ def _timing_summary(
     latency_buckets: dict[int, int],
 ) -> dict[str, Any]:
     """%comm block of an app summary: comm vs compute at the model's seed."""
-    if trace.batch is not None and trace.batch.has_times:
-        comm_time_s = float(np.sum(trace.batch.total_time))
-    else:
-        comm_time_s = math.fsum(r.total_time for r in trace.records)
+    b = trace.batch
+    comm_time_s = float(np.sum(b.total_time)) if b.has_times else 0.0
     model = TimingModel(trace.app, trace.nranks, seed=timing_seed)
     compute_time_s = model.compute_time(overrides)
     comm_per_rank = comm_time_s / trace.nranks
@@ -235,12 +214,7 @@ def analyze_app(
             trace = synthesize(app, nranks, overrides, timing_seed=timing_seed)
             if store:
                 cache.store(trace)
-        # Columnarize loaded record lists so warm (cache-hit) and cold runs
-        # share the exact same vectorized float64 reductions.
-        trace.ensure_batch()
-        cm = reduce_matrix(
-            trace.batch if trace.batch is not None else trace.records, trace.nranks
-        )
+        cm = reduce_matrix(trace.ensure_batch(), trace.nranks)
         topo = analyze_topology(cm)
         ev = evaluate_hybrid(cm, config)
         ev_temporal = evaluate_temporal(cm, config)

@@ -1,26 +1,24 @@
 """Trace record model.
 
-A trace is a list of aggregated per-rank MPI call records, the same shape
+A trace holds aggregated per-rank MPI call records, the same shape
 IPM emits after reduction: one record per distinct
 (rank, call, message size, peer, region) tuple with a repeat count and
 timing aggregates.
 
-Two representations coexist:
+Records are held columnar, as a :class:`RecordBatch` (struct of arrays):
+a 1K–4K-rank all-to-all would otherwise mean tens of millions of Python
+objects. The synthesizers build batches directly; a cached document
+loads straight into one (:meth:`RecordBatch.from_rows`), so cold and
+warm cells run the same vectorized analysis. A batch carries a single
+region, and the cache validator rejects documents that mix regions.
 
-- :class:`CommRecord` — one Python object per aggregated record; the
-  format the repro-cache documents round-trip through.
-- :class:`RecordBatch` — a columnar struct-of-arrays view used by the
-  vectorized synthesizers, where a 1K–4K-rank all-to-all would otherwise
-  mean tens of millions of Python objects.
-
-Both aggregate to the same canonical record order (sorted by
-(rank, call, size, peer, region)), so a trace serializes to byte-identical
-cache documents regardless of which path produced it.
+Aggregation sorts records into canonical (rank, call, size, peer) order,
+so a trace serializes to the same cache document however it was built.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from operator import itemgetter
 from typing import Any, Iterable
 
 import numpy as np
@@ -56,58 +54,6 @@ COLLECTIVE_CALLS = frozenset(
 )
 
 COMPLETION_CALLS = frozenset({"MPI_Wait", "MPI_Waitall", "MPI_Waitany", "MPI_Test"})
-
-
-@dataclass
-class CommRecord:
-    """One aggregated IPM-style call record."""
-
-    rank: int
-    call: str
-    size: int
-    peer: int
-    region: str = "steady"
-    count: int = 1
-    total_time: float = 0.0
-    min_time: float = 0.0
-    max_time: float = 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "CommRecord":
-        return cls(
-            rank=int(d["rank"]),
-            call=str(d["call"]),
-            size=int(d["size"]),
-            peer=int(d["peer"]),
-            region=str(d.get("region", "steady")),
-            count=int(d.get("count", 1)),
-            total_time=float(d.get("total_time", 0.0)),
-            min_time=float(d.get("min_time", 0.0)),
-            max_time=float(d.get("max_time", 0.0)),
-        )
-
-    @property
-    def bytes_moved(self) -> int:
-        return self.size * self.count
-
-    @property
-    def is_ptp(self) -> bool:
-        return self.call in PTP_CALLS
-
-    @property
-    def is_send(self) -> bool:
-        return self.call in SEND_CALLS
-
-    @property
-    def is_recv(self) -> bool:
-        return self.call in RECV_CALLS
-
-    @property
-    def is_collective(self) -> bool:
-        return self.call in COLLECTIVE_CALLS
 
 
 class RecordBatch:
@@ -178,32 +124,38 @@ class RecordBatch:
         self.max_time = tmax
 
     @classmethod
-    def from_records(cls, records: list["CommRecord"]) -> "RecordBatch":
-        """Columnarize an already-canonical record list (timing included).
+    def from_rows(cls, rows: list[dict[str, Any]]) -> "RecordBatch":
+        """Columnarize the record rows of a validated cache document.
 
-        Used when a cached trace loads back as record dicts: analysis
-        paths then run the same vectorized code — and produce the same
-        float64 reductions — as a freshly synthesized batch. Records must
-        share one region (all cache documents do).
+        Rows keep their document order and carry one region (the cache
+        validator enforces both the single region and the field types).
+        Columns come out int64 (rank/size/peer/count), int16 (call code)
+        and float64 (times), timing included.
         """
-        regions = {r.region for r in records}
-        if len(regions) > 1:
-            raise ValueError(f"from_records needs a single region, got {sorted(regions)}")
-        calls = tuple(sorted({r.call for r in records}))
+        n = len(rows)
+
+        def col(key: str, dtype: type) -> np.ndarray:
+            return np.fromiter(map(itemgetter(key), rows), dtype=dtype, count=n)
+
+        calls = tuple(sorted(set(map(itemgetter("call"), rows))))
         code_of = {c: i for i, c in enumerate(calls)}
         batch = cls(
-            rank=np.array([r.rank for r in records], dtype=np.int64),
-            call_code=np.array([code_of[r.call] for r in records], dtype=np.int16),
-            size=np.array([r.size for r in records], dtype=np.int64),
-            peer=np.array([r.peer for r in records], dtype=np.int64),
-            count=np.array([r.count for r in records], dtype=np.int64),
+            rank=col("rank", np.int64),
+            call_code=np.fromiter(
+                map(code_of.__getitem__, map(itemgetter("call"), rows)),
+                dtype=np.int16,
+                count=n,
+            ),
+            size=col("size", np.int64),
+            peer=col("peer", np.int64),
+            count=col("count", np.int64),
             calls=calls,
-            region=next(iter(regions)) if records else "steady",
+            region=rows[0]["region"] if rows else "steady",
         )
         batch.set_times(
-            np.array([r.total_time for r in records], dtype=np.float64),
-            np.array([r.min_time for r in records], dtype=np.float64),
-            np.array([r.max_time for r in records], dtype=np.float64),
+            col("total_time", np.float64),
+            col("min_time", np.float64),
+            col("max_time", np.float64),
         )
         return batch
 
@@ -351,7 +303,7 @@ class RecordBatch:
         return zeros, zeros, zeros
 
     def to_dicts(self) -> list[dict[str, Any]]:
-        """Record dicts in the same field order ``CommRecord.to_dict`` uses."""
+        """Record dicts in cache-document field order."""
         region = self.region
         totals, mins, maxs = self._time_lists()
         return [
@@ -378,92 +330,33 @@ class RecordBatch:
             )
         ]
 
-    def to_records(self) -> list[CommRecord]:
-        totals, mins, maxs = self._time_lists()
-        return [
-            CommRecord(
-                rank=r,
-                call=self.calls[c],
-                size=s,
-                peer=p,
-                region=self.region,
-                count=n,
-                total_time=tt,
-                min_time=tn,
-                max_time=tx,
-            )
-            for r, c, s, p, n, tt, tn, tx in zip(
-                self.rank.tolist(),
-                self.call_code.tolist(),
-                self.size.tolist(),
-                self.peer.tolist(),
-                self.count.tolist(),
-                totals,
-                mins,
-                maxs,
-            )
-        ]
-
 
 class Trace:
-    """A complete synthetic (or cached) application trace.
-
-    Holds either a materialized record list, a columnar batch, or both;
-    ``records`` materializes lazily from the batch so vectorized analysis
-    paths never pay for millions of per-record Python objects.
-    """
+    """A complete synthetic (or cached) application trace: one batch."""
 
     def __init__(
         self,
         app: str,
         nranks: int,
-        records: list[CommRecord] | None = None,
+        batch: RecordBatch,
         overrides: dict[str, Any] | None = None,
-        batch: RecordBatch | None = None,
         timing: dict[str, Any] | None = None,
     ):
-        if records is None and batch is None:
-            raise ValueError("Trace needs records or a batch")
         self.app = app
         self.nranks = nranks
-        self.overrides = dict(overrides or {})
         self.batch = batch
-        self._records = records
+        self.overrides = dict(overrides or {})
         # Timing-model descriptor ({"model", "seed", "params"}) once a
         # hfast.timing model has been applied; None on untimed traces.
         self.timing = dict(timing) if timing else None
 
-    @property
-    def records(self) -> list[CommRecord]:
-        if self._records is None:
-            assert self.batch is not None
-            self._records = self.batch.to_records()
-        return self._records
-
-    def ensure_batch(self) -> RecordBatch | None:
-        """Columnarize the record list if no batch exists yet.
-
-        Returns the batch (building it from records when possible), so
-        analysis paths run vectorized — with identical float64 reductions
-        — whether the trace was freshly synthesized or loaded from cache.
-        Returns None only for multi-region record lists, which stay on
-        the scalar path.
-        """
-        if self.batch is None and self._records is not None:
-            try:
-                self.batch = RecordBatch.from_records(self._records)
-            except ValueError:
-                return None
+    def ensure_batch(self) -> RecordBatch:
+        """The trace's record batch (benchmark layer traces wrap this call by name)."""
         return self.batch
 
     @property
     def call_totals(self) -> dict[str, int]:
-        if self.batch is not None:
-            return self.batch.call_totals
-        totals: dict[str, int] = {}
-        for r in self.records:
-            totals[r.call] = totals.get(r.call, 0) + r.count
-        return dict(sorted(totals.items()))
+        return self.batch.call_totals
 
     def to_document(self) -> dict[str, Any]:
         """Serialize to the on-disk repro-cache document (format 3).
@@ -481,46 +374,17 @@ class Trace:
                 "timing": dict(self.timing) if self.timing else None,
             },
             "call_totals": self.call_totals,
-            "records": (
-                self.batch.to_dicts()
-                if self.batch is not None
-                else [r.to_dict() for r in self.records]
-            ),
+            "records": self.batch.to_dicts(),
         }
 
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "Trace":
-        """Rebuild a trace from a format-3 (or legacy format-2) document."""
+        """Rebuild a trace from a validated format-3 (or format-2) document."""
         meta = doc["metadata"]
         return cls(
             app=str(meta["app"]),
             nranks=int(meta["nranks"]),
+            batch=RecordBatch.from_rows(doc["records"]),
             overrides=dict(meta.get("overrides", {})),
-            records=[CommRecord.from_dict(r) for r in doc["records"]],
             timing=meta.get("timing"),
         )
-
-
-def record_sort_key(r: CommRecord) -> tuple[int, str, int, int, str]:
-    """Canonical record ordering shared by the scalar and vector paths."""
-    return (r.rank, r.call, r.size, r.peer, r.region)
-
-
-def aggregate(records: Iterable[CommRecord]) -> list[CommRecord]:
-    """Merge records sharing (rank, call, size, peer, region).
-
-    Output is in canonical order (sorted by that key), so documents built
-    from the scalar path are byte-identical to the vectorized path.
-    """
-    merged: dict[tuple, CommRecord] = {}
-    for r in records:
-        key = record_sort_key(r)
-        cur = merged.get(key)
-        if cur is None:
-            merged[key] = CommRecord(**r.to_dict())
-        else:
-            cur.count += r.count
-            cur.total_time += r.total_time
-            cur.min_time = min(cur.min_time, r.min_time) if cur.count else r.min_time
-            cur.max_time = max(cur.max_time, r.max_time)
-    return [merged[key] for key in sorted(merged)]

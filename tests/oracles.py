@@ -3,11 +3,21 @@
 ``src/`` keeps one implementation per layer. The slower, obviously
 correct copies live here, used only by the differential suites:
 
+- **Records.** :class:`CommRecord`, one Python object per aggregated
+  record, with :func:`aggregate` (merge and canonically sort) and
+  :func:`records_of`/:func:`batch_of` to convert from and to the
+  production :class:`~hfast.records.RecordBatch`.
+- **Timing.** :func:`mean_call_time` and :func:`time_record` evaluate a
+  :class:`~hfast.timing.TimingModel` one record at a time; they are the
+  counterpart of :meth:`~hfast.timing.TimingModel.time_batch` and must
+  agree with it bit for bit.
 - **Synthesis.** Per-record generators for every app: Python loops
-  emitting one :class:`~hfast.records.CommRecord` at a time, aggregated
-  and timed through the record-list path. :func:`synthesize_reference`
+  emitting one :class:`CommRecord` at a time, aggregated and timed record
+  by record, columnarized only at the end. :func:`synthesize_reference`
   is the counterpart of :func:`hfast.apps.synthesize`; the two must
   serialize to byte-identical cache documents.
+- **Matrix.** :func:`reduce_matrix_reference` is the per-record loop
+  counterpart of :func:`hfast.matrix.reduce_matrix`.
 - **Matching.** A sequential greedy seed, a per-edge swap-candidate
   filter and pure-Python adjacency lists, driving the same improvement
   passes as :func:`hfast.matcher.match_edges`.
@@ -16,7 +26,8 @@ correct copies live here, used only by the differential suites:
 
 from __future__ import annotations
 
-from typing import Any
+from dataclasses import asdict, dataclass
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -30,10 +41,158 @@ from hfast.matcher import (
     canonical_edges,
     sort_edges,
 )
-from hfast.records import CommRecord, Trace, aggregate
-from hfast.timing import DEFAULT_TIMING_SEED, apply_timing
+from hfast.matrix import CommMatrix
+from hfast.records import (
+    COLLECTIVE_CALLS,
+    PTP_CALLS,
+    RECV_CALLS,
+    SEND_CALLS,
+    RecordBatch,
+    Trace,
+)
+from hfast.timing import (
+    _CALL_IDS,
+    _CALL_OVERHEAD,
+    _DEFAULT_OVERHEAD,
+    _INV_2_53,
+    _STREAM_MAX,
+    _STREAM_MIN,
+    _UNKNOWN_CALL_ID,
+    DEFAULT_TIMING_SEED,
+    TimingModel,
+    mix64,
+)
+
+# -- records ------------------------------------------------------------------
+
+
+@dataclass
+class CommRecord:
+    """One aggregated IPM-style call record."""
+
+    rank: int
+    call: str
+    size: int
+    peer: int
+    region: str = "steady"
+    count: int = 1
+    total_time: float = 0.0
+    min_time: float = 0.0
+    max_time: float = 0.0
+
+    def to_dict(self) -> dict[str, Any]:
+        return asdict(self)
+
+    @property
+    def bytes_moved(self) -> int:
+        return self.size * self.count
+
+    @property
+    def is_ptp(self) -> bool:
+        return self.call in PTP_CALLS
+
+    @property
+    def is_send(self) -> bool:
+        return self.call in SEND_CALLS
+
+    @property
+    def is_recv(self) -> bool:
+        return self.call in RECV_CALLS
+
+
+def aggregate(records: Iterable[CommRecord]) -> list[CommRecord]:
+    """Merge records sharing (rank, call, size, peer, region), canonically sorted."""
+    merged: dict[tuple, CommRecord] = {}
+    for r in records:
+        key = (r.rank, r.call, r.size, r.peer, r.region)
+        cur = merged.get(key)
+        if cur is None:
+            merged[key] = CommRecord(**r.to_dict())
+        else:
+            cur.count += r.count
+            cur.total_time += r.total_time
+            cur.min_time = min(cur.min_time, r.min_time) if cur.count else r.min_time
+            cur.max_time = max(cur.max_time, r.max_time)
+    return [merged[key] for key in sorted(merged)]
+
+
+def records_of(batch: RecordBatch) -> list[CommRecord]:
+    """One :class:`CommRecord` per batch row, times included."""
+    return [CommRecord(**row) for row in batch.to_dicts()]
+
+
+def batch_of(records: list[CommRecord]) -> RecordBatch:
+    """Columnarize single-region records through the cache-load path."""
+    return RecordBatch.from_rows([r.to_dict() for r in records])
+
+
+# -- timing -------------------------------------------------------------------
+
+
+def _jitter_hash(model: TimingModel, rank: int, peer: int, call: str) -> int:
+    key = (
+        ((rank & 0xFFFFFFF) << 28)
+        ^ ((peer & 0xFFFFF) << 8)
+        ^ _CALL_IDS.get(call, _UNKNOWN_CALL_ID)
+    )
+    return mix64(model._seed_base ^ key)
+
+
+def mean_call_time(model: TimingModel, call: str, size: int, rank: int, peer: int) -> float:
+    """Jittered mean time of one call of ``size`` bytes."""
+    p = model.params
+    wire = (p.L + p.g) + float(size) * p.G
+    stages = model._stages if call in COLLECTIVE_CALLS else 1.0
+    base = p.o * _CALL_OVERHEAD.get(call, _DEFAULT_OVERHEAD) + wire * stages
+    u = (_jitter_hash(model, rank, peer, call) >> 11) * _INV_2_53
+    return base * (1.0 + p.jitter * (2.0 * u - 1.0))
+
+
+def time_record(model: TimingModel, rec: CommRecord) -> tuple[float, float, float]:
+    """(total_time, min_time, max_time) for one aggregated record."""
+    mean = mean_call_time(model, rec.call, rec.size, rec.rank, rec.peer)
+    total = mean * float(rec.count)
+    if rec.count <= 1:
+        return total, mean, mean
+    h = _jitter_hash(model, rec.rank, rec.peer, rec.call)
+    umin = (mix64(h ^ _STREAM_MIN) >> 11) * _INV_2_53
+    umax = (mix64(h ^ _STREAM_MAX) >> 11) * _INV_2_53
+    jit = model.params.jitter
+    return total, mean * (1.0 - 0.5 * jit * umin), mean * (1.0 + 0.5 * jit * umax)
+
+
+# -- matrix -------------------------------------------------------------------
+
+
+def reduce_matrix_reference(records: Iterable[CommRecord], nranks: int) -> CommMatrix:
+    """Per-record counterpart of :func:`hfast.matrix.reduce_matrix`."""
+    send_bytes = np.zeros((nranks, nranks), dtype=np.int64)
+    send_msgs = np.zeros((nranks, nranks), dtype=np.int64)
+    send_time = np.zeros((nranks, nranks), dtype=np.float64)
+    recv_bytes = np.zeros((nranks, nranks), dtype=np.int64)
+    recv_msgs = np.zeros((nranks, nranks), dtype=np.int64)
+    recv_time = np.zeros((nranks, nranks), dtype=np.float64)
+    for r in records:
+        if not r.is_ptp or r.size <= 0 or r.rank == r.peer:
+            continue
+        if r.is_send:
+            send_bytes[r.rank, r.peer] += r.bytes_moved
+            send_msgs[r.rank, r.peer] += r.count
+            send_time[r.rank, r.peer] += r.total_time
+        elif r.is_recv:
+            recv_bytes[r.peer, r.rank] += r.bytes_moved
+            recv_msgs[r.peer, r.rank] += r.count
+            recv_time[r.peer, r.rank] += r.total_time
+    return CommMatrix(
+        nranks=nranks,
+        bytes_matrix=np.maximum(send_bytes, recv_bytes),
+        msg_matrix=np.maximum(send_msgs, recv_msgs),
+        time_matrix=np.maximum(send_time, recv_time),
+    )
+
 
 # -- synthesis ----------------------------------------------------------------
+
 
 def synthesize_reference(
     app: str,
@@ -43,11 +202,14 @@ def synthesize_reference(
 ) -> Trace:
     """Per-record counterpart of :func:`hfast.apps.synthesize`."""
     overrides = dict(overrides or {})
-    records = REFERENCE_GENERATORS[app](nranks, overrides)
-    trace = Trace(app=app, nranks=nranks, records=aggregate(records), overrides=overrides)
+    records = aggregate(REFERENCE_GENERATORS[app](nranks, overrides))
+    timing = None
     if timing_seed is not None:
-        apply_timing(trace, seed=timing_seed)
-    return trace
+        model = TimingModel(app, nranks, seed=timing_seed)
+        for rec in records:
+            rec.total_time, rec.min_time, rec.max_time = time_record(model, rec)
+        timing = model.to_dict()
+    return Trace(app, nranks, batch_of(records), overrides=overrides, timing=timing)
 
 
 def ghost_pairs(nranks: int, dims: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -2,6 +2,7 @@ import pytest
 
 from hfast.apps import available_apps, synthesize
 from hfast.matrix import reduce_matrix
+from oracles import records_of
 
 
 def test_available_apps_cover_paper_suite():
@@ -22,7 +23,7 @@ def test_bad_nranks_raises():
 def test_deterministic(app):
     a = synthesize(app, 16)
     b = synthesize(app, 16)
-    assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
+    assert records_of(a.batch) == records_of(b.batch)
 
 
 @pytest.mark.parametrize("app", ["cactus", "gtc", "lbmhd", "paratec"])
@@ -31,7 +32,7 @@ def test_send_recv_conservation(app):
     trace = synthesize(app, 16)
     sends = {}
     recvs = {}
-    for r in trace.records:
+    for r in records_of(trace.batch):
         if r.size <= 0:
             continue
         if r.is_send:
@@ -44,18 +45,18 @@ def test_send_recv_conservation(app):
 def test_overrides_scale_volume():
     small = synthesize("cactus", 8, {"steps": 4})
     big = synthesize("cactus", 8, {"steps": 12})
-    cm_small = reduce_matrix(small.records, 8)
-    cm_big = reduce_matrix(big.records, 8)
+    cm_small = reduce_matrix(small.batch, 8)
+    cm_big = reduce_matrix(big.batch, 8)
     assert cm_big.total_bytes == 3 * cm_small.total_bytes
 
 
 def test_paratec_is_all_to_all():
     trace = synthesize("paratec", 8)
-    cm = reduce_matrix(trace.records, 8)
+    cm = reduce_matrix(trace.batch, 8)
     assert cm.nonzero_links() == 8 * 7
 
 
 def test_gtc_is_ring():
     trace = synthesize("gtc", 8)
-    cm = reduce_matrix(trace.records, 8)
+    cm = reduce_matrix(trace.batch, 8)
     assert cm.nonzero_links() == 8  # each rank sends to exactly one neighbour

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hfast.apps import synthesize
@@ -10,6 +11,7 @@ from hfast.cache import (
     cache_path,
     validate_document,
 )
+from oracles import records_of
 
 
 def valid_doc(nranks=2):
@@ -93,6 +95,37 @@ class TestValidator:
         doc["records"][0][key] = -1
         doc["call_totals"] = {"MPI_Isend": doc["records"][0]["count"]}
         with pytest.raises(CacheValidationError, match="non-negative"):
+            validate_document(doc, "f.json")
+
+    @pytest.mark.parametrize("key", ["rank", "peer", "size", "count"])
+    @pytest.mark.parametrize("value", [1.5, 1.0, True])
+    def test_rejects_non_int_integer_fields(self, key, value):
+        doc = valid_doc(nranks=4)
+        doc["records"][0][key] = value
+        doc["call_totals"] = {"MPI_Isend": doc["records"][0]["count"]}
+        with pytest.raises(
+            CacheValidationError, match=f"f.json: records\\[0\\].{key} must be a non-negative int"
+        ):
+            validate_document(doc, "f.json")
+
+    @pytest.mark.parametrize("key", ["call", "region"])
+    def test_rejects_non_string_call_and_region(self, key):
+        doc = valid_doc()
+        doc["records"][0][key] = 7
+        with pytest.raises(
+            CacheValidationError, match=f"f.json: records\\[0\\].{key} must be a string"
+        ):
+            validate_document(doc, "f.json")
+
+    def test_rejects_multi_region_document(self):
+        doc = valid_doc()
+        second = dict(doc["records"][0], region="init", count=2)
+        doc["records"].append(second)
+        doc["call_totals"] = {"MPI_Isend": 5}
+        with pytest.raises(
+            CacheValidationError,
+            match="f.json: records\\[1\\].region='init' differs from records\\[0\\]",
+        ):
             validate_document(doc, "f.json")
 
     def test_rejects_out_of_range_peer(self):
@@ -192,10 +225,10 @@ class TestReproCache:
         cache = ReproCache(repo_cache_dir, readonly=True)
         trace = cache.load("cactus", 16, timing_seed=0)
         assert trace.timing == {"model": "loggp", "seed": 0, "params": trace.timing["params"]}
-        assert all(r.total_time > 0 for r in trace.records)
+        assert all(r.total_time > 0 for r in records_of(trace.batch))
         untimed = cache.load("cactus", 16, timing_seed=None)
         assert untimed.timing is None
-        assert all(r.total_time == 0.0 for r in untimed.records)
+        assert all(r.total_time == 0.0 for r in records_of(untimed.batch))
 
     def test_seed_mismatch_retimes_on_load(self, tmp_path):
         cache = ReproCache(tmp_path)
@@ -203,9 +236,25 @@ class TestReproCache:
         at1 = cache.load("gtc", 4, timing_seed=1)
         at2 = cache.load("gtc", 4, timing_seed=2)
         assert at1.timing["seed"] == 1 and at2.timing["seed"] == 2
-        t1 = [r.total_time for r in at1.records]
-        t2 = [r.total_time for r in at2.records]
+        t1 = [r.total_time for r in records_of(at1.batch)]
+        t2 = [r.total_time for r in records_of(at2.batch)]
         assert t1 != t2
         # same seed round-trips the stored values untouched
         again = cache.load("gtc", 4, timing_seed=1)
-        assert [r.total_time for r in again.records] == t1
+        assert [r.total_time for r in records_of(again.batch)] == t1
+
+    def test_loaded_batch_columns(self, tmp_path):
+        """Loaded documents columnarize to int64/int16/float64, rows in order."""
+        cache = ReproCache(tmp_path)
+        trace = synthesize("lbmhd", 8)
+        cache.store(trace)
+        loaded = cache.load("lbmhd", 8)
+        b = loaded.batch
+        for col in (b.rank, b.size, b.peer, b.count):
+            assert col.dtype == np.int64
+        assert b.call_code.dtype == np.int16
+        for col in (b.total_time, b.min_time, b.max_time):
+            assert col.dtype == np.float64
+        assert b.region == "steady"
+        assert loaded.to_document() == trace.to_document()
+

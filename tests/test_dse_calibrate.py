@@ -156,12 +156,12 @@ def test_overlay_leaves_wire_times_untouched(artifact_doc, tmp_path):
     # The calibrated overlay must only move %comm's denominator: the
     # per-record wire times that live in cached documents are functions
     # of (L, o, g, G, jitter), which calibration never changes.
-    from hfast.records import CommRecord
+    from hfast.records import RecordBatch
 
-    rec = CommRecord(rank=0, call="mpi_isend", size=4096, peer=1, count=3)
-    before = TimingModel("gtc", 64).time_record(rec)
+    batch = RecordBatch.from_parts([("mpi_isend", [0], 4096, 1, 3)])
+    before = [col.tolist() for col in TimingModel("gtc", 64).time_batch(batch)]
     activate_params(load_params_artifact(write_artifact(artifact_doc, tmp_path / "p.json")), "p")
-    after = TimingModel("gtc", 64).time_record(rec)
+    after = [col.tolist() for col in TimingModel("gtc", 64).time_batch(batch)]
     assert before == after
 
 

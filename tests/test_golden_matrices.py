@@ -27,7 +27,7 @@ from hfast.pipeline import analyze_app
 from hfast.records import Trace
 from hfast.timing import apply_timing
 from hfast.topology import analyze_topology
-from oracles import synthesize_reference
+from oracles import records_of, reduce_matrix_reference, synthesize_reference
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CASES = [(app, n) for app in ("cactus", "gtc", "lbmhd", "paratec") for n in (8, 16)]
@@ -51,7 +51,7 @@ def test_fixture_set_is_complete():
 def test_matrix_matches_golden(app, nranks):
     golden = load_fixture(app, nranks)
     trace = synthesize(app, nranks)
-    cm = reduce_matrix(trace.batch if trace.batch is not None else trace.records, nranks)
+    cm = reduce_matrix(trace.batch, nranks)
     assert cm.bytes_matrix.tolist() == golden["bytes_matrix"]
     assert cm.msg_matrix.tolist() == golden["msg_matrix"]
     assert cm.total_bytes == golden["total_bytes"]
@@ -62,17 +62,19 @@ def test_matrix_matches_golden(app, nranks):
 
 @pytest.mark.parametrize("app,nranks", CASES)
 def test_scalar_backend_matches_golden(app, nranks):
-    """The per-record reference generator must agree with the committed numbers."""
+    """The per-record reference generator and reduce loop must agree with the
+    committed numbers."""
     golden = load_fixture(app, nranks)
     trace = synthesize_reference(app, nranks)
-    cm = reduce_matrix(trace.records, nranks)
+    cm = reduce_matrix_reference(records_of(trace.batch), nranks)
     assert cm.bytes_matrix.tolist() == golden["bytes_matrix"]
     assert cm.total_bytes == golden["total_bytes"]
     assert trace.call_totals == golden["call_totals"]
 
 
 # sha256 of json.dumps(analyze_app(...), sort_keys=True) at the default
-# config and timing seed, from a fresh (empty) cache.
+# config and timing seed. Cold (synthesized) and warm (loaded back from
+# the cache document) cells must both match.
 SUMMARY_DIGESTS = {
     "cactus_p8": "d68a7b7021892573e853ed54b1f28b3ba1bda5e6d649ac266ad211c33883af6b",
     "cactus_p16": "55c87d75291c8a4b604f13cd2b79cc0d728168c8a7d833157ed6260917b07412",
@@ -87,11 +89,20 @@ SUMMARY_DIGESTS = {
 
 @pytest.mark.parametrize("app,nranks", CASES)
 def test_summary_digest_pinned(app, nranks, tmp_path):
-    cache = ReproCache(tmp_path, readonly=True)
+    def digest(summary: dict) -> str:
+        return hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+
+    cache = ReproCache(tmp_path / "cold", readonly=True)
     summary = analyze_app(app, nranks, cache, Observability.disabled(), store=False)
     assert summary["interconnect"]["config"]["matcher"] == "vector"
-    digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
-    assert digest == SUMMARY_DIGESTS[f"{app}_p{nranks}"]
+    assert digest(summary) == SUMMARY_DIGESTS[f"{app}_p{nranks}"]
+
+    # warm: store the cell, then answer it again from the loaded document
+    cache = ReproCache(tmp_path / "warm")
+    analyze_app(app, nranks, cache, Observability.disabled(), store=True)
+    warm = analyze_app(app, nranks, cache, Observability.disabled(), store=True)
+    assert (cache.stats.stores, cache.stats.hits) == (1, 1)
+    assert digest(warm) == SUMMARY_DIGESTS[f"{app}_p{nranks}"]
 
 
 @pytest.mark.parametrize("app,nranks", CASES)

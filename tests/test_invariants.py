@@ -22,9 +22,11 @@ import numpy as np
 import pytest
 
 from hfast.apps import available_apps, synthesize
+from hfast.cache import validate_document
 from hfast.matrix import reduce_matrix
+from hfast.records import Trace
 from hfast.topology import analyze_topology
-from oracles import synthesize_reference
+from oracles import records_of, reduce_matrix_reference, synthesize_reference
 
 SYMMETRIC_APPS = ("cactus", "lbmhd", "paratec")  # gtc shifts particles one way
 
@@ -67,7 +69,7 @@ def test_byte_and_message_conservation(app):
     for nranks, overrides in sample_cases(app):
         trace = synthesize(app, nranks, dict(overrides))
         sends, recvs = {}, {}
-        for r in trace.records:
+        for r in records_of(trace.batch):
             if r.size <= 0:
                 continue
             if r.is_send:
@@ -91,37 +93,41 @@ def test_symmetric_apps_yield_symmetric_matrices(app):
         assert np.array_equal(cm.msg_matrix, cm.msg_matrix.T)
 
 
+def assert_equal_planes(a, b, label):
+    assert np.array_equal(a.bytes_matrix, b.bytes_matrix), f"bytes plane diverges for {label}"
+    assert np.array_equal(a.msg_matrix, b.msg_matrix), f"msg plane diverges for {label}"
+    assert np.array_equal(a.time_matrix, b.time_matrix), f"time plane diverges for {label}"
+
+
 @pytest.mark.parametrize("app", ["cactus", "gtc", "lbmhd", "paratec"])
 def test_record_list_and_batch_reduce_to_equal_planes(app):
-    """reduce_matrix yields identical planes for both representations.
+    """Production reduce_matrix over a batch equals the per-record reference loop."""
+    for nranks, overrides in sample_cases(app, n_cases=4):
+        trace = synthesize(app, nranks, dict(overrides))
+        assert_equal_planes(
+            reduce_matrix(trace.batch, nranks),
+            reduce_matrix_reference(records_of(trace.batch), nranks),
+            f"{app} p{nranks} {overrides}",
+        )
 
-    A cached trace loads back as a record list while a fresh synthesis
-    carries a columnar batch; both must hit the same vectorized
-    reduction and produce bit-equal bytes/msg/time planes.
+
+@pytest.mark.parametrize("app", ["cactus", "gtc", "lbmhd", "paratec"])
+def test_synthesized_and_roundtripped_batches_reduce_to_equal_planes(app):
+    """A batch loaded back from its cache document reduces bit-identically.
+
+    Warm cells reduce the int64 columns ``RecordBatch.from_rows`` builds;
+    cold cells reduce the synthesizer's narrower ones.
     """
     for nranks, overrides in sample_cases(app, n_cases=4):
         trace = synthesize(app, nranks, dict(overrides))
-        from_batch = reduce_matrix(trace.batch, nranks)
-        from_list = reduce_matrix(list(trace.records), nranks)
-        assert np.array_equal(from_batch.bytes_matrix, from_list.bytes_matrix), (
-            f"bytes plane diverges for {app} p{nranks} {overrides}"
+        doc = json.loads(json.dumps(trace.to_document()))
+        validate_document(doc)
+        loaded = Trace.from_document(doc)
+        assert_equal_planes(
+            reduce_matrix(trace.batch, nranks),
+            reduce_matrix(loaded.batch, nranks),
+            f"{app} p{nranks} {overrides}",
         )
-        assert np.array_equal(from_batch.msg_matrix, from_list.msg_matrix)
-        assert np.array_equal(from_batch.time_matrix, from_list.time_matrix)
-
-
-def test_multi_region_record_list_falls_back_to_scalar_reduce():
-    """Mixed-region lists can't columnarize but must still reduce correctly."""
-    from hfast.records import CommRecord
-
-    records = [
-        CommRecord(rank=0, call="MPI_Isend", size=100, peer=1, region="init", count=2),
-        CommRecord(rank=1, call="MPI_Irecv", size=100, peer=0, region="steady", count=2),
-    ]
-    cm = reduce_matrix(records, 2)
-    assert cm.bytes_matrix[0, 1] == 200
-    assert cm.msg_matrix[0, 1] == 2
-    assert cm.total_bytes == 200
 
 
 @pytest.mark.parametrize("app", ["cactus", "gtc", "lbmhd", "paratec"])
@@ -175,7 +181,7 @@ def test_times_monotone_in_size_per_stream(app):
     for nranks, overrides in sample_cases(app, n_cases=4):
         trace = synthesize(app, nranks, dict(overrides))
         streams: dict[tuple, list[tuple[int, float]]] = {}
-        for r in trace.records:
+        for r in records_of(trace.batch):
             if r.count > 0:
                 streams.setdefault((r.rank, r.peer, r.call), []).append(
                     (r.size, r.total_time / r.count)

@@ -1,12 +1,12 @@
 import numpy as np
 
 from hfast.matrix import reduce_matrix
-from hfast.records import CommRecord
+from oracles import CommRecord, batch_of
 
 
 def test_send_side_attribution():
     recs = [CommRecord(0, "MPI_Isend", 100, 1, count=2)]
-    cm = reduce_matrix(recs, 2)
+    cm = reduce_matrix(batch_of(recs), 2)
     assert cm.bytes_matrix[0, 1] == 200
     assert cm.msg_matrix[0, 1] == 2
     assert cm.bytes_matrix[1, 0] == 0
@@ -20,7 +20,7 @@ def test_recv_records_fill_missing_sends_without_double_count():
         # Recv-only exchange: still lands in the matrix as (2 -> 1).
         CommRecord(1, "MPI_Irecv", 50, 2, count=1),
     ]
-    cm = reduce_matrix(recs, 3)
+    cm = reduce_matrix(batch_of(recs), 3)
     assert cm.bytes_matrix[0, 1] == 200
     assert cm.bytes_matrix[2, 1] == 50
     assert cm.total_bytes == 250
@@ -32,7 +32,7 @@ def test_non_ptp_and_self_records_ignored():
         CommRecord(0, "MPI_Wait", 0, 0, count=5),
         CommRecord(1, "MPI_Isend", 64, 1, count=5),  # self-send
     ]
-    cm = reduce_matrix(recs, 2)
+    cm = reduce_matrix(batch_of(recs), 2)
     assert cm.total_bytes == 0
     assert cm.total_messages == 0
 
@@ -43,14 +43,14 @@ def test_top_links_and_peers():
         CommRecord(0, "MPI_Isend", 10, 2),
         CommRecord(2, "MPI_Isend", 500, 0),
     ]
-    cm = reduce_matrix(recs, 3)
+    cm = reduce_matrix(batch_of(recs), 3)
     assert cm.top_links(2) == [(0, 1, 1000), (2, 0, 500)]
     # rank 0's heaviest partner by total (send+recv) volume is rank 1
     assert cm.top_peers(0, k=1) == [(1, 1000)]
 
 
 def test_matrix_dtype_and_shape():
-    cm = reduce_matrix([], 4)
+    cm = reduce_matrix(batch_of([]), 4)
     assert cm.bytes_matrix.shape == (4, 4)
     assert cm.bytes_matrix.dtype == np.int64
     assert cm.total_bytes == 0

@@ -7,7 +7,8 @@ The contract the rest of the pipeline leans on:
   message size (jitter never keys on size);
 - a record with ``count == 1`` has ``min_time == max_time == total_time``;
   with repeats the spread brackets the mean;
-- the scalar and vectorized paths produce bit-identical float64 values;
+- ``TimingModel.time_batch`` agrees bit for bit with the per-record
+  reference in ``oracles.py``;
 - everything is a pure function of (app, nranks, seed) — same seed, same
   times; different seed, different jitter.
 """
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from hfast.apps import available_apps, synthesize
-from hfast.records import COLLECTIVE_CALLS, CommRecord, RecordBatch
+from hfast.records import COLLECTIVE_CALLS, RecordBatch
 from hfast.timing import (
     APP_PARAMS,
     DEFAULT_TIMING_SEED,
@@ -28,8 +29,21 @@ from hfast.timing import (
     mix64,
     mix64_vec,
 )
+from oracles import records_of, time_record
 
 ALL_APPS = ("cactus", "gtc", "lbmhd", "paratec")
+
+
+def timed(model, call, size, rank, peer, count=1) -> tuple[float, float, float]:
+    """Production (total, min, max) times of a one-record batch."""
+    batch = RecordBatch.from_parts([(call, [rank], size, peer, count)])
+    total, tmin, tmax = model.time_batch(batch)
+    return float(total[0]), float(tmin[0]), float(tmax[0])
+
+
+def mean_time(model, call, size, rank, peer) -> float:
+    """Jittered mean time of one call: a count-1 record's total."""
+    return timed(model, call, size, rank, peer)[0]
 
 
 def test_mix64_scalar_vector_parity():
@@ -65,7 +79,7 @@ def test_monotone_in_message_size(app):
     for call in ("MPI_Isend", "MPI_Irecv", "MPI_Allreduce", "MPI_Alltoall"):
         for rank, peer in ((0, 1), (7, 63), (33, 12)):
             times = [
-                model.mean_call_time(call, size, rank, peer)
+                mean_time(model, call, size, rank, peer)
                 for size in (0, 1, 64, 4096, 65536, 2**20, 2**24)
             ]
             assert times == sorted(times), f"{call} r{rank}->p{peer}: {times}"
@@ -73,9 +87,9 @@ def test_monotone_in_message_size(app):
 
 def test_count_one_collapses_min_max():
     model = TimingModel("cactus", 8)
-    total, tmin, tmax = model.time_record(CommRecord(0, "MPI_Isend", 4096, 1, count=1))
+    total, tmin, tmax = timed(model, "MPI_Isend", 4096, 0, 1, count=1)
     assert total == tmin == tmax
-    total, tmin, tmax = model.time_record(CommRecord(0, "MPI_Isend", 4096, 1, count=10))
+    total, tmin, tmax = timed(model, "MPI_Isend", 4096, 0, 1, count=10)
     assert tmin < total / 10 < tmax
     assert tmin > 0.0
 
@@ -85,8 +99,8 @@ def test_jitter_bounds_respected():
     model = TimingModel("cactus", 16)
     base_model = TimingModel("cactus", 16, params=LogGPParams(**{**p.to_dict(), "jitter": 0.0}))
     for rank in range(16):
-        jittered = model.mean_call_time("MPI_Isend", 1024, rank, (rank + 1) % 16)
-        base = base_model.mean_call_time("MPI_Isend", 1024, rank, (rank + 1) % 16)
+        jittered = mean_time(model, "MPI_Isend", 1024, rank, (rank + 1) % 16)
+        base = mean_time(base_model, "MPI_Isend", 1024, rank, (rank + 1) % 16)
         assert base * (1 - p.jitter) <= jittered <= base * (1 + p.jitter)
 
 
@@ -94,7 +108,7 @@ def test_zero_jitter_is_exact_loggp():
     params = LogGPParams(L=5e-6, o=1e-6, g=2e-6, G=1e-9, jitter=0.0)
     model = TimingModel("cactus", 2, params=params)
     expected = 1e-6 * 1.0 + (5e-6 + 2e-6) + 4096 * 1e-9  # o*f(Isend) + L + g + size*G
-    assert model.mean_call_time("MPI_Isend", 4096, 0, 1) == pytest.approx(expected)
+    assert mean_time(model, "MPI_Isend", 4096, 0, 1) == pytest.approx(expected)
 
 
 def test_collectives_scale_with_log_tree_stages():
@@ -102,23 +116,21 @@ def test_collectives_scale_with_log_tree_stages():
     small = TimingModel("gtc", 2, params=params)
     large = TimingModel("gtc", 64, params=params)
     for call in COLLECTIVE_CALLS:
-        assert large.mean_call_time(call, 1024, 0, 0) > small.mean_call_time(call, 1024, 0, 0)
+        assert mean_time(large, call, 1024, 0, 0) > mean_time(small, call, 1024, 0, 0)
     # ptp calls are stage-independent
-    assert large.mean_call_time("MPI_Isend", 1024, 0, 1) == small.mean_call_time(
-        "MPI_Isend", 1024, 0, 1
+    assert mean_time(large, "MPI_Isend", 1024, 0, 1) == mean_time(
+        small, "MPI_Isend", 1024, 0, 1
     )
 
 
 def test_scalar_vector_batch_parity():
-    """time_batch and time_record agree bit-for-bit on every record."""
+    """time_batch agrees bit-for-bit with the per-record reference."""
     for app in ALL_APPS:
-        trace = synthesize(app, 16, timing_seed=None)
-        records = trace.records
-        batch = RecordBatch.from_records(records)
+        batch = synthesize(app, 16, timing_seed=None).batch
         model = TimingModel(app, 16, seed=3)
         total, tmin, tmax = model.time_batch(batch)
-        for i, rec in enumerate(records):
-            st, sn, sx = model.time_record(rec)
+        for i, rec in enumerate(records_of(batch)):
+            st, sn, sx = time_record(model, rec)
             assert st == total[i] and sn == tmin[i] and sx == tmax[i]
 
 
@@ -133,9 +145,7 @@ def test_same_seed_reproduces_different_seed_diverges():
 def test_apps_have_distinct_jitter_streams():
     ca = TimingModel("cactus", 16, params=LogGPParams())
     lb = TimingModel("lbmhd", 16, params=LogGPParams())
-    assert ca.mean_call_time("MPI_Isend", 1024, 0, 1) != lb.mean_call_time(
-        "MPI_Isend", 1024, 0, 1
-    )
+    assert mean_time(ca, "MPI_Isend", 1024, 0, 1) != mean_time(lb, "MPI_Isend", 1024, 0, 1)
 
 
 def test_apply_timing_stamps_descriptor_and_is_idempotent():
