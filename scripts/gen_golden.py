@@ -7,7 +7,8 @@ Usage::
 
 Writes one JSON fixture per (app, nranks) pair covering every app in the
 suite at tiny scales (8 and 16 ranks). The fixtures pin the paper-facing
-numbers — full byte/message matrices, totals, topology degree — so a
+numbers — full byte/message matrices (the link table scattered into
+dense planes by ``tests/oracles.py``), totals, topology degree — so a
 synthesizer refactor that changes any of them fails
 ``tests/test_golden_matrices.py`` instead of silently shifting results.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +36,19 @@ from hfast.matrix import reduce_matrix
 from hfast.timing import DEFAULT_TIMING_SEED, TimingModel
 from hfast.topology import analyze_topology
 
+# The dense view of a link table is a test oracle, not part of the package.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import dense_of  # noqa: E402
+
 GOLDEN_SCALES = (8, 16)
 
 
 def build_fixture(app: str, nranks: int) -> dict:
     trace = synthesize(app, nranks, timing_seed=DEFAULT_TIMING_SEED)
     batch = trace.ensure_batch()
-    cm = reduce_matrix(batch, nranks)
-    topo = analyze_topology(cm)
+    links = reduce_matrix(batch, nranks)
+    topo = analyze_topology(links)
+    dm = dense_of(links)
     comm_time_s = float(np.sum(batch.total_time))
     compute_time_s = TimingModel(app, nranks, seed=DEFAULT_TIMING_SEED).compute_time(None)
     comm_per_rank = comm_time_s / nranks
@@ -50,11 +57,11 @@ def build_fixture(app: str, nranks: int) -> dict:
         "app": app,
         "nranks": nranks,
         "call_totals": trace.call_totals,
-        "total_bytes": cm.total_bytes,
-        "total_messages": cm.total_messages,
+        "total_bytes": links.total_bytes,
+        "total_messages": links.total_messages,
         "max_degree": topo.max_degree,
-        "bytes_matrix": cm.bytes_matrix.tolist(),
-        "msg_matrix": cm.msg_matrix.tolist(),
+        "bytes_matrix": dm.bytes_matrix.tolist(),
+        "msg_matrix": dm.msg_matrix.tolist(),
         "timing_seed": DEFAULT_TIMING_SEED,
         "comm_time_s": comm_time_s,
         "pct_comm": round(pct_comm, 3),

@@ -2,7 +2,7 @@
 Requirements for a Reconfigurable Hybrid Interconnect" (SC 2005).
 
 Pipeline: synthetic trace generation (IPM-style per-rank MPI call records)
--> repro-cache -> communication-matrix reduction -> topology-degree analysis
+-> repro-cache -> link-table reduction -> topology-degree analysis
 -> hybrid (circuit + packet) interconnect evaluation.
 
 The :mod:`hfast.obs` package provides the observability substrate: span

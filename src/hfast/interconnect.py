@@ -11,17 +11,17 @@ Two evaluators coexist:
   trace, either the original greedy heaviest-first pass or a
   degree-constrained max-weight matching (greedy + augmenting swaps, no
   scipy) that never covers less traffic than greedy.
-- :func:`evaluate_temporal` — slices the communication matrix into
+- :func:`evaluate_temporal` — slices the link table into
   timesteps, re-matches circuits per step, and charges a reconfiguration
   cost for every circuit established after the initial configuration.
   With one timestep and zero reconfiguration cost it reduces exactly to
   the static matching evaluation.
 
-The matching itself lives in :mod:`hfast.matcher`. The temporal
-evaluator works entirely on columnar edge arrays: traffic is sliced for
-all timesteps in one batched ``(T, E)`` computation and per-node finish
-times come from edge ``bincount`` sums (exact for integer traffic, hence
-float-identical to the dense row sums).
+The matching itself lives in :mod:`hfast.matcher`. Both evaluators work
+on the columns of the :class:`~hfast.matrix.LinkTable`: traffic is
+sliced for all timesteps in one batched ``(T, E)`` computation, circuits
+are located by a binary search on the pair key, and per-node finish
+times come from edge ``bincount`` sums (exact for integer traffic).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hfast.matcher import greedy_circuits, match_edges
-from hfast.matrix import CommMatrix
+from hfast.matcher import greedy_seed_vector, match_edges, sort_edges
+from hfast.matrix import LinkTable, pair_key
 from hfast.obs.profile import profiled
 from hfast.timing import mix64, mix64_vec
 
@@ -104,7 +104,7 @@ class TemporalEvaluation:
     hybrid_time: float = 0.0
     packet_only_time: float = 0.0
     speedup: float = 1.0
-    static_coverage: float = 0.0  # static-greedy baseline on the same matrix
+    static_coverage: float = 0.0  # static-greedy baseline on the same links
     static_speedup: float = 1.0
     per_step: list[dict] = field(default_factory=list)
 
@@ -125,80 +125,6 @@ class TemporalEvaluation:
         }
 
 
-def assign_circuits(cm: CommMatrix, circuits_per_node: int) -> list[tuple[int, int]]:
-    """Greedy heaviest-first circuit assignment under a per-node budget.
-
-    Circuits are unidirectional (src -> dst); each endpoint spends one
-    circuit from its budget (egress at src, ingress at dst). Edges are
-    visited by weight descending, ties broken by the stripe key
-    ``((dst - src) mod n, src, dst)`` of :func:`hfast.matcher.canon_key`
-    — the order the matcher uses too — so the greedy baseline is
-    reproducible from sparse edge lists at any scale. Kept as the
-    baseline the matching assignment is measured against; self-loops
-    never get circuits.
-    """
-    return greedy_circuits(cm.bytes_matrix, cm.nranks, circuits_per_node)
-
-
-def assign_circuits_matching(
-    weights: np.ndarray,
-    circuits_per_node: int,
-    max_passes: int = 8,
-) -> list[tuple[int, int]]:
-    """Degree-constrained max-weight matching via greedy + augmenting swaps.
-
-    A b-matching on the bipartite egress/ingress graph: each node may
-    source and sink at most ``circuits_per_node`` circuits. Seeds with
-    the canonical-order greedy solution, then alternates 1-for-k swap and
-    2-for-1 augment passes; every accepted move strictly increases total
-    matched weight, so the result never covers less than greedy — without
-    scipy's linear_sum_assignment and in O(passes * E * b) time.
-
-    Deterministic: edges are visited by weight descending, ties broken by
-    the stripe key ``((dst - src) mod n, src, dst)`` of
-    :func:`hfast.matcher.canon_key`, and victims are picked by
-    ``(weight, node)`` order (the implementation is
-    :func:`hfast.matcher.match_edges`). Zero-weight edges, self-loops,
-    and a zero budget never contribute.
-    """
-    if circuits_per_node <= 0:
-        return []
-    n = weights.shape[0]
-    src, dst = np.nonzero(np.asarray(weights) > 0)
-    keep = src != dst
-    src, dst = src[keep].astype(np.int64), dst[keep].astype(np.int64)
-    w = np.asarray(weights, dtype=np.float64)[src, dst]
-    return match_edges(src, dst, w, n, circuits_per_node, max_passes=max_passes)
-
-
-def _node_finish_times(
-    bytes_m: np.ndarray,
-    msg_m: np.ndarray,
-    circuit_mask: np.ndarray,
-    config: InterconnectConfig,
-) -> tuple[float, float]:
-    """(hybrid, packet-only) fabric finish times for one traffic matrix.
-
-    Per-node serialization: a node's cost is the max over its circuit and
-    packet egress streams; the fabric finishes when the slowest node does.
-    """
-    circ_bytes_out = np.where(circuit_mask, bytes_m, 0).sum(axis=1)
-    pkt_bytes_out = np.where(~circuit_mask, bytes_m, 0).sum(axis=1)
-    circ_msgs = np.where(circuit_mask, msg_m, 0).sum(axis=1)
-    pkt_msgs = np.where(~circuit_mask, msg_m, 0).sum(axis=1)
-
-    circ_time = circ_bytes_out / config.circuit_bandwidth + circ_msgs * config.circuit_latency
-    pkt_time = pkt_bytes_out / config.packet_bandwidth + pkt_msgs * config.packet_latency
-    hybrid = float(np.maximum(circ_time, pkt_time).max()) if bytes_m.shape[0] else 0.0
-
-    all_time = (
-        bytes_m.sum(axis=1) / config.packet_bandwidth
-        + msg_m.sum(axis=1) * config.packet_latency
-    )
-    packet_only = float(all_time.max()) if bytes_m.shape[0] else 0.0
-    return hybrid, packet_only
-
-
 def _edge_finish_times(
     src: np.ndarray,
     dst: np.ndarray,
@@ -208,13 +134,14 @@ def _edge_finish_times(
     nranks: int,
     config: InterconnectConfig,
 ) -> tuple[float, float]:
-    """:func:`_node_finish_times` over edge columns instead of a dense matrix.
+    """(hybrid, packet-only) fabric finish times for one set of links.
 
+    Per-node serialization: a node's cost is the max over its circuit and
+    packet egress streams; the fabric finishes when the slowest node does.
     Per-node sums come from ``bincount`` with float64 weights; integer
-    traffic sums below 2**53 are exact in float64 regardless of order, so
-    the result is float-identical to the dense row sums — which is what
-    lets the temporal evaluator stay columnar while still reducing
-    exactly to the dense static evaluation at ``timesteps=1``.
+    traffic sums below 2**53 are exact in float64 regardless of order,
+    which is what lets the temporal evaluator reduce exactly to the
+    static evaluation at ``timesteps=1``.
     """
     if nranks <= 0:
         return 0.0, 0.0
@@ -244,38 +171,56 @@ def _edge_finish_times(
     return hybrid, packet_only
 
 
+def _circuit_rows(
+    circuits: list[tuple[int, int]], keys: np.ndarray, nranks: int
+) -> np.ndarray:
+    """Row of every circuit in a column of sorted, unique pair keys."""
+    if not circuits:
+        return np.empty(0, dtype=np.int64)
+    src, dst = np.array(circuits, dtype=np.int64).T
+    return np.searchsorted(keys, pair_key(src, dst, nranks))
+
+
 @profiled("interconnect_eval")
 def evaluate_hybrid(
-    cm: CommMatrix,
+    links: LinkTable,
     config: InterconnectConfig | None = None,
     strategy: str = "greedy",
 ) -> HybridEvaluation:
-    """Static circuit assignment over the whole-trace matrix."""
+    """Static circuit assignment over the whole-trace link table.
+
+    ``greedy`` visits links heaviest first, ties broken by the stripe key
+    ``((dst - src) mod n, src, dst)`` of :func:`hfast.matcher.canon_key`,
+    and gives a link a circuit while both endpoints have budget left
+    (egress at src, ingress at dst). ``matching`` improves on that seed
+    with :func:`hfast.matcher.match_edges` and never covers less traffic.
+    Self-loops never get circuits.
+    """
     if strategy not in ("greedy", "matching"):
         raise ValueError(f"unknown strategy {strategy!r} (expected 'greedy' or 'matching')")
     config = config or InterconnectConfig()
     ev = HybridEvaluation(config=config, strategy=strategy)
-    total = cm.total_bytes
+    total = links.total_bytes
     if total == 0:
         ev.fully_provisionable = True
         return ev
 
+    n, bound = links.nranks, config.circuits_per_node
     if strategy == "matching":
-        ev.circuits = assign_circuits_matching(cm.bytes_matrix, config.circuits_per_node)
+        ev.circuits = match_edges(links.src, links.dst, links.bytes, n, bound)
     else:
-        ev.circuits = assign_circuits(cm, config.circuits_per_node)
-    circuit_mask = np.zeros_like(cm.bytes_matrix, dtype=bool)
-    for src, dst in ev.circuits:
-        circuit_mask[src, dst] = True
+        src, dst, w = sort_edges(links.src, links.dst, links.bytes, n)
+        seed = greedy_seed_vector(src, dst, w, n, bound)
+        ev.circuits = sorted((int(src[ei]), int(dst[ei])) for ei in seed)
+    rows = _circuit_rows(ev.circuits, links.key, n)
 
-    ev.circuit_bytes = int(cm.bytes_matrix[circuit_mask].sum())
+    ev.circuit_bytes = int(links.bytes[rows].sum())
     ev.packet_bytes = total - ev.circuit_bytes
     ev.coverage = ev.circuit_bytes / total
-    active_links = cm.nonzero_links()
-    ev.fully_provisionable = len(ev.circuits) == active_links
+    ev.fully_provisionable = len(ev.circuits) == links.nonzero_links()
 
-    ev.hybrid_time, ev.packet_only_time = _node_finish_times(
-        cm.bytes_matrix, cm.msg_matrix, circuit_mask, config
+    ev.hybrid_time, ev.packet_only_time = _edge_finish_times(
+        links.src, links.dst, links.bytes, links.msgs, rows, n, config
     )
     if ev.hybrid_time > 0:
         ev.speedup = ev.packet_only_time / ev.hybrid_time
@@ -300,8 +245,7 @@ def slice_edge_volumes(
     in steps) from its ``(src, dst)`` pair alone; its volume spreads
     evenly across the window with the integer remainder going to the
     earliest steps. Column sums reproduce the input volumes exactly. All
-    timesteps are computed in one vectorized pass — this is the batched
-    core both :func:`slice_traffic` and the temporal evaluator consume.
+    timesteps are computed in one vectorized pass.
     """
     link_bytes = np.asarray(link_bytes, dtype=np.int64)
     link_msgs = np.asarray(link_msgs, dtype=np.int64)
@@ -326,54 +270,9 @@ def slice_edge_volumes(
     return planes[0], planes[1]
 
 
-def _link_support(cm: CommMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Links carrying any traffic: bytes *or* messages nonzero.
-
-    The union matters: a link with messages but zero bytes (e.g. pure
-    synchronization) still owes packet latency, and slicing over the
-    bytes support alone would silently drop its message volume.
-    """
-    src, dst = np.nonzero((cm.bytes_matrix > 0) | (cm.msg_matrix > 0))
-    return src.astype(np.int64), dst.astype(np.int64)
-
-
-def slice_traffic(
-    cm: CommMatrix, timesteps: int, seed: int = 0
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Deterministically slice a matrix into per-timestep (bytes, msgs).
-
-    Dense view over :func:`slice_edge_volumes`. Summing the slices
-    reproduces the input matrices exactly (message-only links included),
-    and ``timesteps=1`` returns the input unchanged — the paper's
-    time-varying (AMR-style) traffic stand-in for traces that only carry
-    aggregate counts.
-    """
-    if timesteps <= 1:
-        return [(cm.bytes_matrix.copy(), cm.msg_matrix.copy())]
-    T = int(timesteps)
-    n = cm.nranks
-    src, dst = _link_support(cm)
-    if src.size == 0:
-        zero_b = np.zeros((n, n), dtype=cm.bytes_matrix.dtype)
-        zero_m = np.zeros((n, n), dtype=cm.msg_matrix.dtype)
-        return [(zero_b.copy(), zero_m.copy()) for _ in range(T)]
-    eb, em = slice_edge_volumes(
-        src, dst, cm.bytes_matrix[src, dst], cm.msg_matrix[src, dst], T, seed
-    )
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for t in range(T):
-        mats = []
-        for plane in (eb, em):
-            mat = np.zeros((n, n), dtype=np.int64)
-            mat[src, dst] = plane[t]
-            mats.append(mat)
-        out.append((mats[0], mats[1]))
-    return out
-
-
 @profiled("interconnect_temporal")
 def evaluate_temporal(
-    cm: CommMatrix, config: InterconnectConfig | None = None
+    links: LinkTable, config: InterconnectConfig | None = None
 ) -> TemporalEvaluation:
     """Per-timestep max-weight circuit assignment with reconfiguration cost.
 
@@ -396,25 +295,23 @@ def evaluate_temporal(
     config = config or InterconnectConfig()
     T = max(1, int(config.timesteps))
     ev = TemporalEvaluation(config=config, timesteps=T)
-    total = cm.total_bytes
+    total = links.total_bytes
     if total == 0:
         return ev
 
-    static = evaluate_hybrid(cm, config, strategy="greedy")
+    static = evaluate_hybrid(links, config, strategy="greedy")
     ev.static_coverage = static.coverage
     ev.static_speedup = static.speedup
 
-    n = cm.nranks
-    src, dst = _link_support(cm)
-    eb, em = slice_edge_volumes(
-        src, dst, cm.bytes_matrix[src, dst], cm.msg_matrix[src, dst], T, config.slice_seed
-    )
+    # Every link carrying bytes or messages: a message-only link still
+    # owes packet latency, so its message volume is sliced too.
+    n, src, dst = links.nranks, links.src, links.dst
+    eb, em = slice_edge_volumes(src, dst, links.bytes, links.msgs, T, config.slice_seed)
 
     # Matchable universe: off-diagonal links (self-loop traffic stays on
-    # the packet fabric). np.nonzero is row-major, so this is already in
-    # (src, dst) ascending order, which the circuit lookup below relies on.
+    # the packet fabric), still in pair-key order for the circuit lookup.
     match_ids = np.flatnonzero(src != dst)
-    pair_m = src[match_ids] * np.int64(max(1, n)) + dst[match_ids]
+    pair_m = links.key[match_ids]
     bound = config.circuits_per_node
 
     keep_bonus = config.reconfig_cost * config.circuit_bandwidth
@@ -428,13 +325,7 @@ def evaluate_temporal(
         if have_prev and keep_bonus > 0.0:
             w[prev_mask & (w > 0)] += keep_bonus
         circuits = match_edges(src[match_ids], dst[match_ids], w, n, bound)
-        if circuits:
-            qp = np.fromiter(
-                (s * n + d for s, d in circuits), dtype=np.int64, count=len(circuits)
-            )
-            sel_pos = np.searchsorted(pair_m, qp)
-        else:
-            sel_pos = np.empty(0, dtype=np.int64)
+        sel_pos = _circuit_rows(circuits, pair_m, n)
         sel_mask = np.zeros(match_ids.size, dtype=bool)
         sel_mask[sel_pos] = True
         changes = int(np.count_nonzero(sel_mask & ~prev_mask)) if have_prev else 0

@@ -47,24 +47,6 @@ def canon_key(src: np.ndarray, dst: np.ndarray, nranks: int) -> np.ndarray:
     return stripe * n * n + src * n + dst
 
 
-def canonical_edges(
-    weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extract matchable edges from a dense matrix in canonical order.
-
-    Keeps strictly-positive off-diagonal entries and sorts them by
-    weight descending, ties by stripe order — the total order the
-    matcher processes edges in. Returns ``(src, dst, w)`` columns
-    (int64, int64, float64).
-    """
-    src, dst = np.nonzero(weights > 0)
-    keep = src != dst
-    src, dst = src[keep].astype(np.int64), dst[keep].astype(np.int64)
-    w = np.asarray(weights, dtype=np.float64)[src, dst]
-    order = np.lexsort((canon_key(src, dst, weights.shape[0]), -w))
-    return src[order], dst[order], w[order]
-
-
 def sort_edges(
     src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -408,16 +390,3 @@ def match_edges(
             break
     return sorted((int(src[ei]), int(dst[ei])) for ei in state.sel)
 
-
-def greedy_circuits(weights: np.ndarray, nranks: int, bound: int) -> list[tuple[int, int]]:
-    """Canonical-order greedy assignment over a dense matrix.
-
-    The baseline the matcher is measured against — and, because the
-    matcher seeds with exactly this solution, the floor it can never
-    fall below.
-    """
-    if bound <= 0:
-        return []
-    src, dst, w = canonical_edges(weights)
-    seed = greedy_seed_vector(src, dst, w, nranks, bound)
-    return sorted((int(src[ei]), int(dst[ei])) for ei in seed)

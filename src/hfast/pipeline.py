@@ -1,4 +1,4 @@
-"""Pipeline orchestration: trace -> matrix -> topology -> interconnect.
+"""Pipeline orchestration: trace -> link table -> topology -> interconnect.
 
 The (app, nranks) analysis matrix is partitioned into *cells*. Cells run
 under one of two scheduler backends:
@@ -214,25 +214,23 @@ def analyze_app(
             trace = synthesize(app, nranks, overrides, timing_seed=timing_seed)
             if store:
                 cache.store(trace)
-        cm = reduce_matrix(trace.ensure_batch(), trace.nranks)
-        topo = analyze_topology(cm)
-        ev = evaluate_hybrid(cm, config)
-        ev_temporal = evaluate_temporal(cm, config)
+        links = reduce_matrix(trace.ensure_batch(), trace.nranks)
+        topo = analyze_topology(links)
+        ev = evaluate_hybrid(links, config)
+        ev_temporal = evaluate_temporal(links, config)
 
         local_buckets = _observe_sizes(trace, app, obs)
         latency_buckets = _observe_latencies(trace, app, obs)
         if obs.enabled:
             for call, total in trace.call_totals.items():
                 obs.metrics.counter(f"calls.{call}").inc(total)
-            obs.metrics.counter("pipeline.bytes_total").inc(cm.total_bytes)
-            obs.metrics.counter("pipeline.messages_total").inc(cm.total_messages)
+            obs.metrics.counter("pipeline.bytes_total").inc(links.total_bytes)
+            obs.metrics.counter("pipeline.messages_total").inc(links.total_messages)
             obs.metrics.counter("pipeline.apps_analyzed").inc()
 
         top_peers = []
-        for rank, _deg in sorted(
-            enumerate(topo.degrees), key=lambda kv: -int(kv[1])
-        )[:5]:
-            peers = cm.top_peers(rank, k=1)
+        for rank in np.argsort(-topo.degrees, kind="stable")[:5].tolist():
+            peers = links.top_peers(rank, k=1)
             if peers:
                 top_peers.append(
                     {"rank": rank, "peer": peers[0][0], "bytes": peers[0][1]}
@@ -243,9 +241,9 @@ def analyze_app(
             "nranks": nranks,
             "overrides": dict(overrides or {}),
             "call_totals": trace.call_totals,
-            "total_bytes": cm.total_bytes,
-            "total_messages": cm.total_messages,
-            "nonzero_links": cm.nonzero_links(),
+            "total_bytes": links.total_bytes,
+            "total_messages": links.total_messages,
+            "nonzero_links": links.nonzero_links(),
             "size_buckets": {str(k): v for k, v in sorted(local_buckets.items())},
             "top_peers": top_peers,
             "topology": topo.to_dict(),
@@ -253,7 +251,7 @@ def analyze_app(
             "interconnect_temporal": ev_temporal.to_dict(),
             "timing": _timing_summary(trace, timing_seed, overrides, latency_buckets),
         }
-        sp.set_attr("total_bytes", cm.total_bytes)
+        sp.set_attr("total_bytes", links.total_bytes)
         sp.set_attr("max_degree", topo.max_degree)
         obs.tracer.emit_event("app_summary", summary)
         return summary

@@ -1,9 +1,10 @@
 """Per-cell cost model for scheduling.
 
 A cell's cost is dominated by how many aggregated records its app
-synthesizes plus the dense nranks x nranks reductions downstream, so the
-analytic estimate mirrors the generator formulas in :mod:`hfast.apps`
-(paratec's all-to-all is O(nranks^2); the stencil codes are O(nranks)).
+synthesizes, so the analytic estimate mirrors the generator formulas in
+:mod:`hfast.apps` (paratec's all-to-all is O(nranks^2); the stencil
+codes are O(nranks)), plus an nranks^2 term fitted when the analysis
+core still reduced into dense planes.
 
 When prior runs left ``BENCH_*.json`` snapshots around, their per-cell
 wall times calibrate the estimate: a measured cell costs exactly what it
@@ -45,10 +46,11 @@ def estimate_cell_cost(app: str, nranks: int) -> float:
     """Analytic cost estimate in arbitrary units.
 
     Record synthesis/aggregation is linear in the record count; the
-    matrix reduction, topology pass, and circuit matching touch dense
-    nranks^2 planes; the matching loop adds an E log E-ish term over the
-    cell's edge population. Constants are unitless — only the ordering
-    across cells matters.
+    nranks^2 term dates from dense matrix reduction and topology passes
+    and is kept because ``hfast search`` reports this estimate as its
+    ``eval_cost`` objective; the matching loop adds an E log E-ish term
+    over the cell's edge population. Constants are unitless — only the
+    ordering across cells matters.
     """
     n = max(1, nranks)
     records = estimate_cell_records(app, nranks)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hfast.matrix import CommMatrix
+from hfast.matrix import LinkTable, group_keys, pair_key
 from hfast.obs.profile import profiled
 
 
@@ -38,31 +38,43 @@ class TopologyStats:
 
 
 @profiled("topology_degree")
-def analyze_topology(cm: CommMatrix, ks: tuple[int, ...] = (1, 2, 4, 8, 16)) -> TopologyStats:
-    # Partner volume seen by each rank, regardless of direction.
-    volume = cm.bytes_matrix + cm.bytes_matrix.T
-    np.fill_diagonal(volume, 0)
-    partners = volume > 0
-    degrees = partners.sum(axis=1)
+def analyze_topology(links: LinkTable, ks: tuple[int, ...] = (1, 2, 4, 8, 16)) -> TopologyStats:
+    n = links.nranks
+    # Partner volume seen by each rank, regardless of direction: one
+    # entry per undirected pair, summed over both directions.
+    off = (links.src != links.dst) & (links.bytes > 0)
+    lo = np.minimum(links.src, links.dst)[off]
+    hi = np.maximum(links.src, links.dst)[off]
+    pairs, inverse = group_keys(pair_key(lo, hi, n))
+    pair_volume = np.bincount(
+        inverse, weights=links.bytes[off].astype(np.float64), minlength=len(pairs)
+    ).astype(np.int64)
+    m = np.int64(max(1, n))
+    ranks = np.concatenate((pairs // m, pairs % m))
+    volume = np.concatenate((pair_volume, pair_volume))
+    degrees = np.bincount(ranks, minlength=n)
 
-    hist: dict[int, int] = {}
-    for d in degrees:
-        hist[int(d)] = hist.get(int(d), 0) + 1
+    hist = {d: int(c) for d, c in enumerate(np.bincount(degrees)) if c}
 
     total = float(volume.sum())
     concentration: dict[int, float] = {}
     if total > 0:
-        sorted_vol = np.sort(volume, axis=1)[:, ::-1]
+        # Each rank's partners heaviest first; a partner's position within
+        # its rank's segment says whether it is among that rank's top k.
+        order = np.lexsort((-volume, ranks))
+        seg_start = np.cumsum(degrees) - degrees
+        position = np.arange(len(order)) - seg_start[ranks[order]]
+        ordered = volume[order]
         for k in ks:
-            concentration[k] = float(sorted_vol[:, :k].sum()) / total
+            concentration[k] = float(ordered[position < k].sum()) / total
     else:
         concentration = {k: 0.0 for k in ks}
 
     return TopologyStats(
-        nranks=cm.nranks,
+        nranks=n,
         degrees=degrees,
-        max_degree=int(degrees.max()) if cm.nranks else 0,
-        avg_degree=float(degrees.mean()) if cm.nranks else 0.0,
+        max_degree=int(degrees.max()) if n else 0,
+        avg_degree=float(degrees.mean()) if n else 0.0,
         degree_histogram=hist,
         concentration=concentration,
     )

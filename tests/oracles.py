@@ -16,8 +16,14 @@ correct copies live here, used only by the differential suites:
   by record, columnarized only at the end. :func:`synthesize_reference`
   is the counterpart of :func:`hfast.apps.synthesize`; the two must
   serialize to byte-identical cache documents.
-- **Matrix.** :func:`reduce_matrix_reference` is the per-record loop
-  counterpart of :func:`hfast.matrix.reduce_matrix`.
+- **Dense matrices.** :class:`DenseMatrix` holds the N x N bytes,
+  messages and time planes the analysis core used before the link
+  table; :func:`dense_of` and :func:`table_of` convert between the two.
+  :func:`reduce_matrix_reference` is the per-record loop counterpart of
+  :func:`hfast.matrix.reduce_matrix`, and :func:`analyze_topology_dense`,
+  :func:`evaluate_hybrid_dense` and :func:`slice_traffic` are the dense
+  counterparts of the topology pass, the static evaluation and the
+  temporal slicer.
 - **Matching.** A sequential greedy seed, a per-edge swap-candidate
   filter and pure-Python adjacency lists, driving the same improvement
   passes as :func:`hfast.matcher.match_edges`.
@@ -38,10 +44,17 @@ from hfast.matcher import (
     _augment_pass,
     _MatchState,
     _swap_pass,
-    canonical_edges,
+    canon_key,
+    greedy_seed_vector,
+    match_edges,
     sort_edges,
 )
-from hfast.matrix import CommMatrix
+from hfast.interconnect import (
+    HybridEvaluation,
+    InterconnectConfig,
+    slice_edge_volumes,
+)
+from hfast.matrix import LinkTable
 from hfast.records import (
     COLLECTIVE_CALLS,
     PTP_CALLS,
@@ -50,6 +63,7 @@ from hfast.records import (
     RecordBatch,
     Trace,
 )
+from hfast.topology import TopologyStats
 from hfast.timing import (
     _CALL_IDS,
     _CALL_OVERHEAD,
@@ -161,10 +175,77 @@ def time_record(model: TimingModel, rec: CommRecord) -> tuple[float, float, floa
     return total, mean * (1.0 - 0.5 * jit * umin), mean * (1.0 + 0.5 * jit * umax)
 
 
-# -- matrix -------------------------------------------------------------------
+# -- dense matrices -----------------------------------------------------------
 
 
-def reduce_matrix_reference(records: Iterable[CommRecord], nranks: int) -> CommMatrix:
+@dataclass
+class DenseMatrix:
+    """Dense N x N planes: ``[src, dst]`` bytes, messages and seconds."""
+
+    nranks: int
+    bytes_matrix: np.ndarray
+    msg_matrix: np.ndarray
+    time_matrix: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.time_matrix is None:
+            self.time_matrix = np.zeros_like(self.bytes_matrix, dtype=np.float64)
+
+    @property
+    def total_bytes(self) -> int:
+        return int(self.bytes_matrix.sum())
+
+    @property
+    def total_messages(self) -> int:
+        return int(self.msg_matrix.sum())
+
+    def nonzero_links(self) -> int:
+        return int(np.count_nonzero(self.bytes_matrix))
+
+    def top_links(self, k: int = 10) -> list[tuple[int, int, int]]:
+        """Heaviest (src, dst, bytes) links, descending."""
+        flat = self.bytes_matrix.ravel()
+        if not flat.any():
+            return []
+        k = min(k, int(np.count_nonzero(flat)))
+        idx = np.argpartition(flat, -k)[-k:]
+        idx = idx[np.argsort(flat[idx])[::-1]]
+        n = self.nranks
+        return [(int(i // n), int(i % n), int(flat[i])) for i in idx]
+
+    def top_peers(self, rank: int, k: int = 5) -> list[tuple[int, int]]:
+        """Heaviest (peer, bytes) partners of one rank (send + recv volume)."""
+        volume = self.bytes_matrix[rank, :] + self.bytes_matrix[:, rank]
+        order = np.argsort(volume)[::-1]
+        return [(int(p), int(volume[p])) for p in order[:k] if volume[p] > 0]
+
+
+def dense_of(links: LinkTable) -> DenseMatrix:
+    """Scatter a link table into dense planes."""
+    n = links.nranks
+    planes = [
+        np.zeros((n, n), dtype=np.int64),
+        np.zeros((n, n), dtype=np.int64),
+        np.zeros((n, n), dtype=np.float64),
+    ]
+    for plane, col in zip(planes, (links.bytes, links.msgs, links.time)):
+        plane[links.src, links.dst] = col
+    return DenseMatrix(n, *planes)
+
+
+def table_of(bytes_m: np.ndarray, msg_m: np.ndarray | None = None) -> LinkTable:
+    """Gather untimed dense planes into a link table: every cell with bytes or messages."""
+    bytes_m = np.asarray(bytes_m, dtype=np.int64)
+    msg_m = np.zeros_like(bytes_m) if msg_m is None else np.asarray(msg_m, dtype=np.int64)
+    src, dst = np.nonzero((bytes_m > 0) | (msg_m > 0))
+    src, dst = src.astype(np.int64), dst.astype(np.int64)
+    return LinkTable(
+        bytes_m.shape[0], src, dst, bytes_m[src, dst], msg_m[src, dst],
+        np.zeros(len(src), dtype=np.float64),
+    )
+
+
+def reduce_matrix_reference(records: Iterable[CommRecord], nranks: int) -> DenseMatrix:
     """Per-record counterpart of :func:`hfast.matrix.reduce_matrix`."""
     send_bytes = np.zeros((nranks, nranks), dtype=np.int64)
     send_msgs = np.zeros((nranks, nranks), dtype=np.int64)
@@ -183,12 +264,150 @@ def reduce_matrix_reference(records: Iterable[CommRecord], nranks: int) -> CommM
             recv_bytes[r.peer, r.rank] += r.bytes_moved
             recv_msgs[r.peer, r.rank] += r.count
             recv_time[r.peer, r.rank] += r.total_time
-    return CommMatrix(
+    return DenseMatrix(
         nranks=nranks,
         bytes_matrix=np.maximum(send_bytes, recv_bytes),
         msg_matrix=np.maximum(send_msgs, recv_msgs),
         time_matrix=np.maximum(send_time, recv_time),
     )
+
+
+def analyze_topology_dense(
+    dm: DenseMatrix, ks: tuple[int, ...] = (1, 2, 4, 8, 16)
+) -> TopologyStats:
+    """Dense counterpart of :func:`hfast.topology.analyze_topology`."""
+    volume = dm.bytes_matrix + dm.bytes_matrix.T
+    np.fill_diagonal(volume, 0)
+    degrees = (volume > 0).sum(axis=1)
+    hist: dict[int, int] = {}
+    for d in degrees:
+        hist[int(d)] = hist.get(int(d), 0) + 1
+    total = float(volume.sum())
+    if total > 0:
+        sorted_vol = np.sort(volume, axis=1)[:, ::-1]
+        concentration = {k: float(sorted_vol[:, :k].sum()) / total for k in ks}
+    else:
+        concentration = {k: 0.0 for k in ks}
+    return TopologyStats(
+        nranks=dm.nranks,
+        degrees=degrees,
+        max_degree=int(degrees.max()) if dm.nranks else 0,
+        avg_degree=float(degrees.mean()) if dm.nranks else 0.0,
+        degree_histogram=hist,
+        concentration=concentration,
+    )
+
+
+def canonical_edges(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Matchable edges of a dense matrix in the matcher's canonical order.
+
+    Strictly-positive off-diagonal entries, weight descending, ties in
+    stripe order; ``(src, dst, w)`` columns (int64, int64, float64).
+    """
+    src, dst = np.nonzero(weights > 0)
+    keep = src != dst
+    src, dst = src[keep].astype(np.int64), dst[keep].astype(np.int64)
+    w = np.asarray(weights, dtype=np.float64)[src, dst]
+    order = np.lexsort((canon_key(src, dst, weights.shape[0]), -w))
+    return src[order], dst[order], w[order]
+
+
+def greedy_circuits(weights: np.ndarray, nranks: int, bound: int) -> list[tuple[int, int]]:
+    """Canonical-order greedy assignment over a dense matrix."""
+    if bound <= 0:
+        return []
+    src, dst, w = canonical_edges(weights)
+    seed = greedy_seed_vector(src, dst, w, nranks, bound)
+    return sorted((int(src[ei]), int(dst[ei])) for ei in seed)
+
+
+def assign_circuits_matching(
+    weights: np.ndarray, circuits_per_node: int, max_passes: int = DEFAULT_MAX_PASSES
+) -> list[tuple[int, int]]:
+    """Degree-constrained max-weight matching over a dense matrix."""
+    if circuits_per_node <= 0:
+        return []
+    src, dst, w = canonical_edges(weights)
+    return match_edges(
+        src, dst, w, weights.shape[0], circuits_per_node, max_passes=max_passes,
+        presorted=True,
+    )
+
+
+def node_finish_times(
+    bytes_m: np.ndarray, msg_m: np.ndarray, circuit_mask: np.ndarray, config: InterconnectConfig
+) -> tuple[float, float]:
+    """(hybrid, packet-only) fabric finish times from dense row sums."""
+    circ_bytes_out = np.where(circuit_mask, bytes_m, 0).sum(axis=1)
+    pkt_bytes_out = np.where(~circuit_mask, bytes_m, 0).sum(axis=1)
+    circ_msgs = np.where(circuit_mask, msg_m, 0).sum(axis=1)
+    pkt_msgs = np.where(~circuit_mask, msg_m, 0).sum(axis=1)
+
+    circ_time = circ_bytes_out / config.circuit_bandwidth + circ_msgs * config.circuit_latency
+    pkt_time = pkt_bytes_out / config.packet_bandwidth + pkt_msgs * config.packet_latency
+    hybrid = float(np.maximum(circ_time, pkt_time).max()) if bytes_m.shape[0] else 0.0
+
+    all_time = (
+        bytes_m.sum(axis=1) / config.packet_bandwidth
+        + msg_m.sum(axis=1) * config.packet_latency
+    )
+    packet_only = float(all_time.max()) if bytes_m.shape[0] else 0.0
+    return hybrid, packet_only
+
+
+def evaluate_hybrid_dense(
+    dm: DenseMatrix, config: InterconnectConfig | None = None, strategy: str = "greedy"
+) -> HybridEvaluation:
+    """Dense counterpart of :func:`hfast.interconnect.evaluate_hybrid`."""
+    config = config or InterconnectConfig()
+    ev = HybridEvaluation(config=config, strategy=strategy)
+    total = dm.total_bytes
+    if total == 0:
+        ev.fully_provisionable = True
+        return ev
+    if strategy == "matching":
+        ev.circuits = assign_circuits_matching(dm.bytes_matrix, config.circuits_per_node)
+    else:
+        ev.circuits = greedy_circuits(dm.bytes_matrix, dm.nranks, config.circuits_per_node)
+    circuit_mask = np.zeros_like(dm.bytes_matrix, dtype=bool)
+    for src, dst in ev.circuits:
+        circuit_mask[src, dst] = True
+    ev.circuit_bytes = int(dm.bytes_matrix[circuit_mask].sum())
+    ev.packet_bytes = total - ev.circuit_bytes
+    ev.coverage = ev.circuit_bytes / total
+    ev.fully_provisionable = len(ev.circuits) == dm.nonzero_links()
+    ev.hybrid_time, ev.packet_only_time = node_finish_times(
+        dm.bytes_matrix, dm.msg_matrix, circuit_mask, config
+    )
+    if ev.hybrid_time > 0:
+        ev.speedup = ev.packet_only_time / ev.hybrid_time
+    return ev
+
+
+def slice_traffic(
+    dm: DenseMatrix, timesteps: int, seed: int = 0
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-timestep dense (bytes, msgs) planes from the production slicer.
+
+    Summing the slices reproduces the input planes exactly (message-only
+    links included); ``timesteps=1`` returns the input unchanged.
+    """
+    if timesteps <= 1:
+        return [(dm.bytes_matrix.copy(), dm.msg_matrix.copy())]
+    n = dm.nranks
+    src, dst = np.nonzero((dm.bytes_matrix > 0) | (dm.msg_matrix > 0))
+    eb, em = slice_edge_volumes(
+        src, dst, dm.bytes_matrix[src, dst], dm.msg_matrix[src, dst], timesteps, seed
+    )
+    out: list[tuple[np.ndarray, np.ndarray]] = []
+    for t in range(timesteps):
+        mats = []
+        for plane in (eb, em):
+            mat = np.zeros((n, n), dtype=np.int64)
+            mat[src, dst] = plane[t]
+            mats.append(mat)
+        out.append((mats[0], mats[1]))
+    return out
 
 
 # -- synthesis ----------------------------------------------------------------

@@ -45,18 +45,18 @@ def test_send_recv_conservation(app):
 def test_overrides_scale_volume():
     small = synthesize("cactus", 8, {"steps": 4})
     big = synthesize("cactus", 8, {"steps": 12})
-    cm_small = reduce_matrix(small.batch, 8)
-    cm_big = reduce_matrix(big.batch, 8)
-    assert cm_big.total_bytes == 3 * cm_small.total_bytes
+    links_small = reduce_matrix(small.batch, 8)
+    links_big = reduce_matrix(big.batch, 8)
+    assert links_big.total_bytes == 3 * links_small.total_bytes
 
 
 def test_paratec_is_all_to_all():
     trace = synthesize("paratec", 8)
-    cm = reduce_matrix(trace.batch, 8)
-    assert cm.nonzero_links() == 8 * 7
+    links = reduce_matrix(trace.batch, 8)
+    assert links.nonzero_links() == 8 * 7
 
 
 def test_gtc_is_ring():
     trace = synthesize("gtc", 8)
-    cm = reduce_matrix(trace.batch, 8)
-    assert cm.nonzero_links() == 8  # each rank sends to exactly one neighbour
+    links = reduce_matrix(trace.batch, 8)
+    assert links.nonzero_links() == 8  # each rank sends to exactly one neighbour

@@ -27,7 +27,7 @@ from hfast.pipeline import analyze_app
 from hfast.records import Trace
 from hfast.timing import apply_timing
 from hfast.topology import analyze_topology
-from oracles import records_of, reduce_matrix_reference, synthesize_reference
+from oracles import dense_of, records_of, reduce_matrix_reference, synthesize_reference
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 CASES = [(app, n) for app in ("cactus", "gtc", "lbmhd", "paratec") for n in (8, 16)]
@@ -51,13 +51,14 @@ def test_fixture_set_is_complete():
 def test_matrix_matches_golden(app, nranks):
     golden = load_fixture(app, nranks)
     trace = synthesize(app, nranks)
-    cm = reduce_matrix(trace.batch, nranks)
-    assert cm.bytes_matrix.tolist() == golden["bytes_matrix"]
-    assert cm.msg_matrix.tolist() == golden["msg_matrix"]
-    assert cm.total_bytes == golden["total_bytes"]
-    assert cm.total_messages == golden["total_messages"]
+    links = reduce_matrix(trace.batch, nranks)
+    dm = dense_of(links)
+    assert dm.bytes_matrix.tolist() == golden["bytes_matrix"]
+    assert dm.msg_matrix.tolist() == golden["msg_matrix"]
+    assert links.total_bytes == golden["total_bytes"]
+    assert links.total_messages == golden["total_messages"]
     assert trace.call_totals == golden["call_totals"]
-    assert analyze_topology(cm).max_degree == golden["max_degree"]
+    assert analyze_topology(links).max_degree == golden["max_degree"]
 
 
 @pytest.mark.parametrize("app,nranks", CASES)

@@ -5,28 +5,22 @@ import numpy as np
 import pytest
 
 from hfast.apps import synthesize
-from hfast.interconnect import (
-    InterconnectConfig,
-    assign_circuits,
-    assign_circuits_matching,
-    evaluate_hybrid,
-    evaluate_temporal,
-    slice_traffic,
-)
-from hfast.matrix import CommMatrix, reduce_matrix
-from oracles import CommRecord, batch_of
+from hfast.interconnect import InterconnectConfig, evaluate_hybrid, evaluate_temporal
+from hfast.matrix import LinkTable, reduce_matrix
+from oracles import CommRecord, batch_of, dense_of, slice_traffic, table_of
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = [(app, n) for app in ("cactus", "gtc", "lbmhd", "paratec") for n in (8, 16)]
 
 
-def golden_matrix(app: str, nranks: int) -> CommMatrix:
+def golden_matrix(app: str, nranks: int) -> LinkTable:
     fixture = json.loads((GOLDEN_DIR / f"{app}_p{nranks}.json").read_text())
-    return CommMatrix(
-        nranks=nranks,
-        bytes_matrix=np.array(fixture["bytes_matrix"], dtype=np.int64),
-        msg_matrix=np.array(fixture["msg_matrix"], dtype=np.int64),
-    )
+    return table_of(fixture["bytes_matrix"], fixture["msg_matrix"])
+
+
+def circuits(links: LinkTable, budget: int, strategy: str = "greedy") -> list:
+    config = InterconnectConfig(circuits_per_node=budget)
+    return evaluate_hybrid(links, config, strategy=strategy).circuits
 
 
 def ring_matrix(n=8):
@@ -45,11 +39,11 @@ def test_ring_fully_provisionable():
 def test_budget_limits_circuits():
     # paratec all-to-all at 8 ranks: 56 links, budget 2 -> 16 circuits max
     cm = reduce_matrix(synthesize("paratec", 8).batch, 8)
-    circuits = assign_circuits(cm, circuits_per_node=2)
-    assert len(circuits) == 16
+    selected = circuits(cm, 2)
+    assert len(selected) == 16
     egress = [0] * 8
     ingress = [0] * 8
-    for s, d in circuits:
+    for s, d in selected:
         egress[s] += 1
         ingress[d] += 1
     assert max(egress) <= 2 and max(ingress) <= 2
@@ -104,15 +98,15 @@ def test_matching_never_below_greedy(app, nranks, budget):
 def test_matching_respects_degree_budget(app, nranks):
     cm = golden_matrix(app, nranks)
     for budget in (1, 2, 4):
-        circuits = assign_circuits_matching(cm.bytes_matrix, budget)
+        selected = circuits(cm, budget, "matching")
         egress = [0] * nranks
         ingress = [0] * nranks
-        for s, d in circuits:
+        for s, d in selected:
             egress[s] += 1
             ingress[d] += 1
         assert max(egress, default=0) <= budget
         assert max(ingress, default=0) <= budget
-        assert len(set(circuits)) == len(circuits)
+        assert len(set(selected)) == len(selected)
 
 
 def test_matching_beats_greedy_on_adversarial_case():
@@ -122,20 +116,16 @@ def test_matching_beats_greedy_on_adversarial_case():
     # carry more. The matcher must recover that.
     w = np.zeros((4, 4), dtype=np.int64)
     w[0, 1], w[0, 2], w[3, 1] = 10, 9, 9
-    greedy_bytes = sum(
-        int(w[s, d]) for s, d in assign_circuits(
-            CommMatrix(4, w, np.zeros_like(w)), 1
-        )
-    )
-    matched_bytes = sum(int(w[s, d]) for s, d in assign_circuits_matching(w, 1))
+    greedy_bytes = sum(int(w[s, d]) for s, d in circuits(table_of(w), 1))
+    matched_bytes = sum(int(w[s, d]) for s, d in circuits(table_of(w), 1, "matching"))
     assert matched_bytes == 18 > greedy_bytes
 
 
 def test_matching_empty_and_zero_budget():
     w = np.zeros((4, 4), dtype=np.int64)
-    assert assign_circuits_matching(w, 4) == []
+    assert circuits(table_of(w), 4, "matching") == []
     w[0, 1] = 5
-    assert assign_circuits_matching(w, 0) == []
+    assert circuits(table_of(w), 0, "matching") == []
 
 
 # -- temporal evaluator -------------------------------------------------------
@@ -143,23 +133,23 @@ def test_matching_empty_and_zero_budget():
 
 @pytest.mark.parametrize("app,nranks", GOLDEN_CASES)
 def test_slice_traffic_conserves_volume(app, nranks):
-    cm = golden_matrix(app, nranks)
+    dm = dense_of(golden_matrix(app, nranks))
     for T in (1, 3, 4, 7):
-        slices = slice_traffic(cm, T, seed=0)
+        slices = slice_traffic(dm, T, seed=0)
         assert len(slices) == max(1, T)
         bytes_sum = sum(b for b, _ in slices)
         msgs_sum = sum(m for _, m in slices)
-        assert np.array_equal(bytes_sum, cm.bytes_matrix)
-        assert np.array_equal(msgs_sum, cm.msg_matrix)
+        assert np.array_equal(bytes_sum, dm.bytes_matrix)
+        assert np.array_equal(msgs_sum, dm.msg_matrix)
         for b, m in slices:
             assert np.all(b >= 0) and np.all(m >= 0)
 
 
 def test_slice_traffic_is_seeded_and_deterministic():
-    cm = golden_matrix("lbmhd", 16)
-    a = slice_traffic(cm, 4, seed=1)
-    b = slice_traffic(cm, 4, seed=1)
-    c = slice_traffic(cm, 4, seed=2)
+    dm = dense_of(golden_matrix("lbmhd", 16))
+    a = slice_traffic(dm, 4, seed=1)
+    b = slice_traffic(dm, 4, seed=1)
+    c = slice_traffic(dm, 4, seed=2)
     assert all(np.array_equal(x[0], y[0]) for x, y in zip(a, b))
     assert any(not np.array_equal(x[0], y[0]) for x, y in zip(a, c))
 

@@ -26,7 +26,7 @@ from hfast.cache import validate_document
 from hfast.matrix import reduce_matrix
 from hfast.records import Trace
 from hfast.topology import analyze_topology
-from oracles import records_of, reduce_matrix_reference, synthesize_reference
+from oracles import dense_of, records_of, reduce_matrix_reference, synthesize_reference
 
 SYMMETRIC_APPS = ("cactus", "lbmhd", "paratec")  # gtc shifts particles one way
 
@@ -86,11 +86,11 @@ def test_byte_and_message_conservation(app):
 def test_symmetric_apps_yield_symmetric_matrices(app):
     for nranks, overrides in sample_cases(app):
         trace = synthesize(app, nranks, dict(overrides))
-        cm = reduce_matrix(trace.batch, nranks)
-        assert np.array_equal(cm.bytes_matrix, cm.bytes_matrix.T), (
+        dm = dense_of(reduce_matrix(trace.batch, nranks))
+        assert np.array_equal(dm.bytes_matrix, dm.bytes_matrix.T), (
             f"asymmetric matrix for {app} p{nranks} {overrides}"
         )
-        assert np.array_equal(cm.msg_matrix, cm.msg_matrix.T)
+        assert np.array_equal(dm.msg_matrix, dm.msg_matrix.T)
 
 
 def assert_equal_planes(a, b, label):
@@ -105,7 +105,7 @@ def test_record_list_and_batch_reduce_to_equal_planes(app):
     for nranks, overrides in sample_cases(app, n_cases=4):
         trace = synthesize(app, nranks, dict(overrides))
         assert_equal_planes(
-            reduce_matrix(trace.batch, nranks),
+            dense_of(reduce_matrix(trace.batch, nranks)),
             reduce_matrix_reference(records_of(trace.batch), nranks),
             f"{app} p{nranks} {overrides}",
         )
@@ -124,8 +124,8 @@ def test_synthesized_and_roundtripped_batches_reduce_to_equal_planes(app):
         validate_document(doc)
         loaded = Trace.from_document(doc)
         assert_equal_planes(
-            reduce_matrix(trace.batch, nranks),
-            reduce_matrix(loaded.batch, nranks),
+            dense_of(reduce_matrix(trace.batch, nranks)),
+            dense_of(reduce_matrix(loaded.batch, nranks)),
             f"{app} p{nranks} {overrides}",
         )
 
@@ -145,17 +145,17 @@ def test_topology_degree_bounded(app):
 def test_concentration_monotone_and_complete(app):
     for nranks, overrides in sample_cases(app):
         trace = synthesize(app, nranks, dict(overrides))
-        cm = reduce_matrix(trace.batch, nranks)
+        links = reduce_matrix(trace.batch, nranks)
         # Include a k that covers every possible partner so the fractions
         # must account for all traffic.
         ks = (1, 2, 4, 8, 16, max(1, nranks))
-        conc = analyze_topology(cm, ks=ks).concentration
+        conc = analyze_topology(links, ks=ks).concentration
         values = [conc[k] for k in ks]
         assert all(0.0 <= v <= 1.0 + 1e-9 for v in values)
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:])), (
             f"concentration not monotone for {app} p{nranks}: {values}"
         )
-        if cm.total_bytes > 0:
+        if links.total_bytes > 0:
             assert values[-1] == pytest.approx(1.0), (
                 f"top-{ks[-1]} concentration should capture all traffic"
             )

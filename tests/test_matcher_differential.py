@@ -18,14 +18,9 @@ import pytest
 
 from hfast import interconnect
 from hfast.apps import synthesize
-from hfast.interconnect import (
-    InterconnectConfig,
-    assign_circuits_matching,
-    evaluate_hybrid,
-    evaluate_temporal,
-)
-from hfast.matrix import CommMatrix, reduce_matrix
-from oracles import greedy_circuits_reference, match_edges_reference
+from hfast.interconnect import InterconnectConfig, evaluate_hybrid, evaluate_temporal
+from hfast.matrix import LinkTable, reduce_matrix
+from oracles import greedy_seed_scalar, match_edges_reference, table_of
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = [(app, n) for app in ("cactus", "gtc", "lbmhd", "paratec") for n in (8, 16)]
@@ -39,17 +34,13 @@ def implementation(name):
     with pytest.MonkeyPatch.context() as mp:
         if name == "reference":
             mp.setattr(interconnect, "match_edges", match_edges_reference)
-            mp.setattr(interconnect, "greedy_circuits", greedy_circuits_reference)
+            mp.setattr(interconnect, "greedy_seed_vector", greedy_seed_scalar)
         yield
 
 
-def golden_matrix(app: str, nranks: int) -> CommMatrix:
+def golden_matrix(app: str, nranks: int) -> LinkTable:
     fixture = json.loads((GOLDEN_DIR / f"{app}_p{nranks}.json").read_text())
-    return CommMatrix(
-        nranks=nranks,
-        bytes_matrix=np.array(fixture["bytes_matrix"], dtype=np.int64),
-        msg_matrix=np.array(fixture["msg_matrix"], dtype=np.int64),
-    )
+    return table_of(fixture["bytes_matrix"], fixture["msg_matrix"])
 
 
 def hybrid_docs(cm, budget=4):
@@ -81,7 +72,8 @@ def test_assignment_identity_on_goldens(app, nranks, budget):
     outs = []
     for name in IMPLEMENTATIONS:
         with implementation(name):
-            outs.append(assign_circuits_matching(cm.bytes_matrix, budget))
+            config = InterconnectConfig(circuits_per_node=budget)
+            outs.append(evaluate_hybrid(cm, config, strategy="matching").circuits)
     assert outs[0] == outs[1]
 
 
@@ -118,7 +110,7 @@ def test_identity_on_seeded_random_matrices():
             rng.integers(0, max_w, size=(n, n)) * (rng.random((n, n)) < density)
         ).astype(np.int64)
         msg_m = (bytes_m > 0).astype(np.int64) * rng.integers(1, 5, size=(n, n))
-        cm = CommMatrix(nranks=n, bytes_matrix=bytes_m, msg_matrix=msg_m)
+        cm = table_of(bytes_m, msg_m)
         T = int(rng.integers(1, 6))
         cost = float(rng.choice([0.0, 1e-4, 1e-3]))
         budget = int(rng.integers(1, 5))
@@ -134,7 +126,7 @@ def test_identity_on_tie_heavy_matrices():
     for n in (5, 8, 13):
         w = np.full((n, n), 7, dtype=np.int64)
         np.fill_diagonal(w, 0)
-        cm = CommMatrix(nranks=n, bytes_matrix=w, msg_matrix=(w > 0).astype(np.int64))
+        cm = table_of(w, (w > 0).astype(np.int64))
         prod, ref = hybrid_docs(cm)
         assert prod == ref
         prod, ref = temporal_docs(cm)

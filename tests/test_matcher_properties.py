@@ -10,15 +10,17 @@ never below the greedy seed, and equality with the reference matcher in
 import numpy as np
 import pytest
 
-from hfast.interconnect import InterconnectConfig, evaluate_temporal, slice_traffic
-from hfast.matcher import (
+from hfast.interconnect import InterconnectConfig, evaluate_temporal
+from hfast.matcher import greedy_seed_vector, match_edges
+from oracles import (
+    DenseMatrix,
     canonical_edges,
     greedy_circuits,
-    greedy_seed_vector,
-    match_edges,
+    greedy_seed_scalar,
+    match_edges_reference,
+    slice_traffic,
+    table_of,
 )
-from hfast.matrix import CommMatrix
-from oracles import greedy_seed_scalar, match_edges_reference
 
 # The reference matcher (sequential seed, per-edge filters) and the
 # production columnar matcher, keyed by the names the tests report.
@@ -150,9 +152,9 @@ def test_slice_traffic_conserves_message_only_links():
     msg_m = np.zeros((n, n), dtype=np.int64)
     bytes_m[0, 1], msg_m[0, 1] = 1000, 3
     msg_m[2, 3] = 7  # message-only link
-    cm = CommMatrix(nranks=n, bytes_matrix=bytes_m, msg_matrix=msg_m)
+    dm = DenseMatrix(nranks=n, bytes_matrix=bytes_m, msg_matrix=msg_m)
     for T in (2, 4, 5):
-        slices = slice_traffic(cm, T, seed=0)
+        slices = slice_traffic(dm, T, seed=0)
         assert np.array_equal(sum(b for b, _ in slices), bytes_m)
         assert np.array_equal(sum(m for _, m in slices), msg_m)
 
@@ -167,7 +169,7 @@ def test_temporal_empty_step_keeps_configuration_standing():
     # One link whose hashed window at T=6 is narrower than the horizon,
     # guaranteeing at least one empty step between active ones.
     bytes_m[0, 1], msg_m[0, 1] = 6000, 6
-    cm = CommMatrix(nranks=n, bytes_matrix=bytes_m, msg_matrix=msg_m)
+    cm = table_of(bytes_m, msg_m)
     config = InterconnectConfig(timesteps=6, reconfig_cost=1e-3, circuits_per_node=1)
     ev = evaluate_temporal(cm, config)
     active = [s for s in ev.per_step if s["n_circuits"]]

@@ -18,8 +18,7 @@ def test_ring_degree_is_two():
 
 def test_concentration_monotonic_and_bounded():
     trace = synthesize("lbmhd", 16)
-    cm = reduce_matrix(trace.batch, 16)
-    ts = analyze_topology(cm)
+    ts = analyze_topology(reduce_matrix(trace.batch, 16))
     ks = sorted(ts.concentration)
     values = [ts.concentration[k] for k in ks]
     assert all(0.0 <= v <= 1.0 for v in values)
