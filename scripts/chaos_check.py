@@ -8,8 +8,8 @@ Usage::
 
 Runs the analysis matrix three ways against throwaway cache directories:
 
-1. serial reference — ``static`` scheduler, one process;
-2. chaos run — ``stealing`` scheduler with an injected worker fault
+1. serial reference — one worker, cells run in this process;
+2. chaos run — the work-stealing scheduler with an injected worker fault
    (default: SIGKILL the worker holding the first cell on attempt 1);
 3. resume run — a stealing run whose poisoned cell exhausts its retries,
    then a ``--resume`` of that journal with the fault cleared.
@@ -52,7 +52,6 @@ def run_sweep(
     cache_dir: Path,
     apps: list[str],
     scale: int,
-    scheduler: str = "static",
     workers: int = 1,
     fault: str | None = None,
     **kwargs,
@@ -71,7 +70,6 @@ def run_sweep(
             obs=Observability.disabled(),
             argv=["chaos_check"],
             workers=workers,
-            scheduler=scheduler,
             bench_dir=None,
             **kwargs,
         )
@@ -121,9 +119,12 @@ def main(argv: list[str] | None = None) -> int:
         serial = run_sweep(base / "serial", apps, args.scale)
         print(f"serial reference: {len(serial['results'])} cells ok")
 
+        # Giving a journal dir keeps the chaos legs on the work-stealing
+        # scheduler even at --workers 1.
+        journal_dir = str(base / "journal")
         chaos = run_sweep(
             base / "chaos", apps, args.scale,
-            scheduler="stealing", workers=args.workers, fault=fault,
+            workers=args.workers, fault=fault, journal_dir=journal_dir,
         )
         sched = chaos["manifest"]["scheduler"]
         print(
@@ -138,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
         # resume the journal with the fault cleared.
         poisoned = run_sweep(
             base / "resume", apps, args.scale,
-            scheduler="stealing", workers=args.workers,
+            workers=args.workers, journal_dir=journal_dir,
             fault=f"flaky:{first_cell}:99", max_retries=0,
         )
         run_id = poisoned["manifest"]["scheduler"]["run_id"]
@@ -149,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         resumed = run_sweep(
             base / "resume", apps, args.scale,
-            scheduler="stealing", workers=args.workers, resume=run_id,
+            workers=args.workers, journal_dir=journal_dir, resume=run_id,
         )
         sched = resumed["manifest"]["scheduler"]
         print(

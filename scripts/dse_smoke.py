@@ -7,8 +7,9 @@ Usage::
         [--workers 4] [--artifacts-dir DIR]
 
 Runs one tiny fixed-seed grid search twice through the real ``hfast
-search`` CLI — once on the serial backend, once on the work-stealing
-scheduler — and asserts the two frontier artifacts are byte-identical.
+search`` CLI — once with ``--workers 1`` (in process), once with
+``--workers N`` and a journal dir (the work-stealing scheduler) — and
+asserts the two frontier artifacts are byte-identical.
 That is the DSE subsystem's acceptance contract: the frontier is a pure
 function of (workload, space, seed, strategy), never of the execution
 backend that happened to evaluate the candidates.
@@ -47,18 +48,17 @@ SPACE_ARGS = [
 ]
 
 
-def run_one(label: str, scheduler_args: list[str], args, out_dir: Path) -> bytes:
+def run_one(label: str, worker_args: list[str], args, out_dir: Path) -> bytes:
     frontier = out_dir / f"frontier-{label}.json"
     argv = [
         "search", "--app", args.app, "--scale", str(args.scale),
         *SPACE_ARGS,
         "--no-store", "--strict",
         "--cache-dir", str(out_dir / f"cache-{label}"),
-        "--journal-dir", str(out_dir / f"journal-{label}"),
         "--out", str(frontier),
         "--report-dir", str(out_dir / f"reports-{label}"),
         "--bench-dir", str(out_dir / f"bench-{label}"),
-        *scheduler_args,
+        *worker_args,
     ]
     print(f"dse_smoke: hfast {' '.join(argv)}")
     rc = cli.main(argv)
@@ -91,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
         serial = run_one("serial", ["--workers", "1"], args, out_dir)
         stealing = run_one(
             "stealing",
-            ["--scheduler", "stealing", "--workers", str(args.workers)],
+            ["--workers", str(args.workers), "--journal-dir", str(out_dir / "journal-stealing")],
             args,
             out_dir,
         )

@@ -115,7 +115,9 @@ def main(argv: list[str] | None = None) -> int:
             live = run_pipeline(
                 apps=apps, scales=scales, cache_dir=str(base / "live"),
                 obs=obs, argv=["live_smoke"], workers=args.workers,
-                scheduler="stealing", retry_backoff=0.05, bench_dir=None, bus=bus,
+                # A journal dir keeps even --workers 1 on the stealing scheduler.
+                journal_dir=str(base / "journal"), retry_backoff=0.05,
+                bench_dir=None, bus=bus,
             )
         finally:
             view.stop()

@@ -89,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     problems: list[str] = []
 
     # 1. Two analyze runs, two backends, one history dir. -------------------
-    for backend_args in ([], ["--scheduler", "stealing", "--workers", "2", "--live"]):
+    for backend_args in ([], ["--workers", "2", "--live"]):
         rc, _out = cli(
             [
                 "analyze", "--apps", APPS, "--scales", str(SCALE),
@@ -115,7 +115,6 @@ def main(argv: list[str] | None = None) -> int:
         port=0,
         cache_dir=str(cache_dir),
         serve_dir=str(serve_dir),
-        scheduler="stealing",
         history_dir=str(hist_serve),
         slo_spec="default",
         heartbeat_interval=0.2,

@@ -87,7 +87,6 @@ def main(argv: list[str] | None = None) -> int:
             port=0,
             cache_dir=str(base / "cache"),
             serve_dir=str(base / "serve"),
-            scheduler="stealing",
             trace_out=str(trace_path),
             bench_dir=None,
         )

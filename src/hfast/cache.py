@@ -24,6 +24,7 @@ import hashlib
 import json
 import mmap
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -278,10 +279,17 @@ class ReproCache:
         doc = trace.to_document()
         validate_document(doc, path)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
+        # One temp file per writer: two writers of the same key (served
+        # jobs differing only in timing seed, a speculative duplicate
+        # cell) each publish a whole document, and the last replace wins.
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix=f"{path.stem}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
         self.stats.stores += 1
         self.stats.entries.append(
             {

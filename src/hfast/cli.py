@@ -19,20 +19,20 @@ Subcommands::
 ``--metrics-out`` imply it. With no profiling flags, the pipeline runs
 with observability disabled (the near-zero-overhead path).
 
-``--workers N`` runs (app, scale) cells on a process pool; the merged
-output is deterministic and byte-identical to a serial run. ``--shard
-i/m`` selects every m-th cell starting at i, for splitting a sweep across
-hosts. A failing cell is reported and skipped; the exit code is nonzero
-only when every cell failed, or when any cell failed under ``--strict``.
-
-``--scheduler stealing`` swaps the static partition for the
+By default (``--workers 1``) the (app, scale) cells run one after
+another in the calling process. ``--workers N`` (N > 1), ``--resume``,
+``--journal-dir`` and ``--mitigate`` each move the run onto the
 fault-tolerant work-stealing scheduler: cost-ordered shared queue,
 ``--max-retries`` per-cell retries with backoff, hung/crashed-worker
-re-dispatch (``--heartbeat-timeout``), and a run journal. ``--resume
-RUN_ID`` (implies the stealing backend) replays a prior run's completed
-cells from the journal and executes only what is left. A cell that
-succeeds on retry is not a failure: ``--strict`` only trips on cells
-that exhausted their retries.
+re-dispatch (``--heartbeat-timeout``), and a run journal (default
+``<cache-dir>/.sched_journal``). ``--resume RUN_ID`` replays a prior
+run's completed cells from the journal and executes only what is left.
+Either way the merged output is deterministic and byte-identical.
+``--shard i/m`` selects every m-th cell starting at i, for splitting a
+sweep across hosts. A failing cell is reported and skipped; the exit
+code is nonzero only when every cell failed, or when any cell failed
+under ``--strict``. A cell that succeeds on retry is not a failure:
+``--strict`` only trips on cells that exhausted their retries.
 
 ``--live`` streams telemetry while the run executes: a repainting TTY
 status view (per-cell state, steal/retry counters, cost-model ETA,
@@ -43,7 +43,7 @@ free port). Both imply ``--profile`` and are strict side-channels: the
 merged trace/metrics/report artifacts are byte-identical with or
 without them.
 
-``--mitigate`` (implies ``--scheduler stealing``) closes the
+``--mitigate`` (runs under the work-stealing scheduler) closes the
 observability loop: in-flight cells the online anomaly detector flags
 as stragglers are speculatively re-dispatched to another worker (first
 result wins) and their app's queued siblings are reprioritized. Like
@@ -68,10 +68,11 @@ drain. Served results are byte-identical to a direct
 ``hfast search`` explores the interconnect design space (circuit
 counts, reconfiguration cost, traffic-slice granularity) against one
 (app, scale) workload and reports the Pareto frontier over (coverage,
-packet-fallback bytes, reconfiguration cost, analytic evaluation cost). Candidate evaluations dispatch through the
-same serial/pool/work-stealing backends as analysis cells, so searches
-shard, retry, journal, and ``--resume`` — and the ``--out`` frontier
-artifact is byte-identical across all of them for a fixed spec.
+packet-fallback bytes, reconfiguration cost, analytic evaluation cost).
+Candidate evaluations run the way analysis cells do (in process, or
+under the work-stealing scheduler), so searches retry, journal, and
+``--resume`` — and the ``--out`` frontier artifact is byte-identical
+either way for a fixed spec.
 
 ``hfast calibrate`` fits each app's LogGP ``compute_step_s`` against
 the paper's %comm tables and writes a provenance-stamped params
@@ -106,7 +107,7 @@ from hfast.obs.prom import MetricsServer, render_registry
 from hfast.obs.report import build_report, write_report
 from hfast.obs.stream import EventBus
 from hfast.obs.trace import JsonlSink
-from hfast.pipeline import SCHEDULERS, discover_scales, run_pipeline
+from hfast.pipeline import discover_scales, run_pipeline
 from hfast.sched.journal import JournalError
 from hfast.timing import DEFAULT_TIMING_SEED
 
@@ -175,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_an.add_argument(
         "--workers", type=int, default=1,
-        help="process-pool size for parallel cell execution (default: serial)",
+        help="worker processes; above 1 the run goes through the work-stealing "
+             "scheduler (default: 1, cells run in this process)",
     )
     p_an.add_argument(
         "--shard", type=_shard, default=None, metavar="i/m",
@@ -186,12 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit nonzero if any cell fails (default: only if all fail)",
     )
     p_an.add_argument(
-        "--scheduler", choices=SCHEDULERS, default="static",
-        help="cell scheduler: fixed partition (static) or fault-tolerant work stealing",
-    )
-    p_an.add_argument(
         "--resume", default=None, metavar="RUN_ID",
-        help="resume a prior stealing run from its journal (implies --scheduler stealing)",
+        help="resume a prior run from its journal (runs under the work-stealing scheduler)",
     )
     p_an.add_argument(
         "--max-retries", type=int, default=2,
@@ -203,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_an.add_argument(
         "--journal-dir", default=None,
-        help="stealing scheduler: run-journal directory (default: <cache-dir>/.sched_journal)",
+        help="run-journal directory (default: <cache-dir>/.sched_journal); "
+             "giving one runs under the work-stealing scheduler",
     )
     p_an.add_argument("--profile", action="store_true", help="enable the observability layer")
     p_an.add_argument("--trace-out", default=None, help="JSONL span/event trace path (implies --profile)")
@@ -229,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mitigate", action="store_true",
         help="act on live straggler advisories: speculatively re-dispatch "
              "flagged cells and reprioritize their app's queued siblings "
-             "(implies --scheduler stealing; results stay byte-identical)",
+             "(runs under the work-stealing scheduler; results stay byte-identical)",
     )
     p_an.add_argument(
         "--slo", default=None, metavar="SPEC",
@@ -316,12 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sv.add_argument(
         "--workers", type=int, default=1,
-        help="pipeline workers per job (passed through to run_pipeline)",
-    )
-    p_sv.add_argument(
-        "--job-scheduler", choices=SCHEDULERS, default="stealing",
-        help="scheduler each job runs under; stealing journals progress so "
-             "interrupted jobs resume after a daemon restart",
+        help="work-stealing workers per job; every job journals its progress "
+             "so interrupted jobs resume after a daemon restart",
     )
     p_sv.add_argument(
         "--trace-out", default=None,
@@ -388,15 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_se.add_argument(
         "--workers", type=int, default=1,
-        help="process-pool size for parallel candidate evaluation (default: serial)",
-    )
-    p_se.add_argument(
-        "--scheduler", choices=SCHEDULERS, default="static",
-        help="candidate scheduler; the frontier artifact is byte-identical either way",
+        help="worker processes; above 1 candidates go through the work-stealing "
+             "scheduler (default: 1, in this process; the frontier is identical)",
     )
     p_se.add_argument(
         "--resume", default=None, metavar="RUN_ID",
-        help="resume a prior stealing search from its journal (implies --scheduler stealing)",
+        help="resume a prior search from its journal (runs under the work-stealing scheduler)",
     )
     p_se.add_argument(
         "--max-retries", type=int, default=2,
@@ -408,12 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_se.add_argument(
         "--journal-dir", default=None,
-        help="stealing scheduler: run-journal directory (default: <cache-dir>/.sched_journal)",
+        help="run-journal directory (default: <cache-dir>/.sched_journal); "
+             "giving one runs under the work-stealing scheduler",
     )
     p_se.add_argument(
         "--out", default=None, metavar="FRONTIER.json",
         help="write the canonical frontier artifact here (byte-identical "
-             "across scheduler backends for a fixed spec)",
+             "for a fixed spec, however the candidates ran)",
     )
     p_se.add_argument("--profile", action="store_true", help="enable the observability layer")
     p_se.add_argument(
@@ -551,8 +544,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
         timesteps=args.timesteps,
         reconfig_cost=args.reconfig_cost,
     )
-    scheduler = "stealing" if (args.resume or args.mitigate) else args.scheduler
-
     # Live telemetry side-channels: an event bus feeding the status view,
     # and/or a background /metrics endpoint scraping the live registry.
     bus = live_view = metrics_server = detector = None
@@ -584,7 +575,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             workers=args.workers,
             shard=args.shard,
             timing_seed=args.timing_seed,
-            scheduler=scheduler,
             max_retries=args.max_retries,
             heartbeat_timeout=args.heartbeat_timeout,
             journal_dir=args.journal_dir,
@@ -830,7 +820,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_running=args.max_running,
         queue_limit=args.queue_limit,
         workers=args.workers,
-        scheduler=args.job_scheduler,
         trace_out=args.trace_out,
         store=not args.no_store,
         bench_dir=args.bench_dir,
@@ -878,7 +867,6 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
             print(f"error: {err}", file=sys.stderr)
         return 2
 
-    scheduler = "stealing" if args.resume else args.scheduler
     try:
         out = run_search(
             spec,
@@ -887,7 +875,6 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
             store=not args.no_store,
             argv=argv,
             workers=args.workers,
-            scheduler=scheduler,
             max_retries=args.max_retries,
             heartbeat_timeout=args.heartbeat_timeout,
             journal_dir=args.journal_dir,

@@ -9,16 +9,16 @@ variables and the temporal evaluator as a fitness function:
 - :mod:`hfast.dse.pareto` — sense-aware dominance filtering and frontier
   utilities.
 - :mod:`hfast.dse.search` — grid and evolutionary strategies; every
-  candidate evaluation is dispatched as a pipeline cell through the
-  existing serial / process-pool / work-stealing backends, so searches
-  shard, retry, journal, and resume exactly like analysis sweeps.
+  candidate evaluation is dispatched as a pipeline cell, in process or
+  through the work-stealing scheduler, so searches retry, journal, and
+  resume exactly like analysis sweeps.
 - :mod:`hfast.dse.calibrate` — fits the LogGP ``APP_PARAMS`` compute
   constants against the paper's %comm tables and emits a
   provenance-stamped params artifact :mod:`hfast.timing` can consume.
 
 The repo throughline holds here too: the frontier artifact is a function
-of (workload, space, seed, strategy) alone — same inputs on any
-scheduler backend serialize byte-identically.
+of (workload, space, seed, strategy) alone — same inputs serialize
+byte-identically in process and under the work-stealing scheduler.
 """
 
 from hfast.dse.pareto import Objective, dominates, pareto_frontier

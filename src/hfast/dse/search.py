@@ -14,12 +14,12 @@ Pareto frontier over four objectives:
 
 Each candidate evaluation is one pipeline cell: the exact payload shape
 :func:`hfast.pipeline.execute_cell` runs for analysis sweeps, with the
-candidate's interconnect config swapped in. Cells dispatch through the
-same three backends as ``run_pipeline`` — serial, process pool, or the
-work-stealing scheduler — so searches shard, retry, journal, and
-``resume=<run-id>`` without any search-specific machinery. Candidate
-results merge in candidate-definition order, making the frontier
-artifact (`frontier_bytes`) byte-identical across backends; repeated
+candidate's interconnect config swapped in. Cells run the way
+``run_pipeline``'s do (:func:`hfast.sched.cell_runner` decides: in
+process, or under the work-stealing scheduler), so searches retry,
+journal, and ``resume=<run-id>`` without any search-specific machinery.
+Candidate results merge in candidate-definition order, making the
+frontier artifact (`frontier_bytes`) byte-identical either way; repeated
 trace synthesis is free after the first candidate because every
 candidate of a workload shares one repro-cache entry.
 
@@ -37,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -48,15 +47,10 @@ from hfast.dse.space import Candidate, SearchSpace
 from hfast.interconnect import InterconnectConfig
 from hfast.obs.manifest import build_manifest
 from hfast.obs.profile import Observability, get_obs
-from hfast.pipeline import SCHEDULERS, execute_cell, graft_cell
+from hfast.pipeline import execute_cell, graft_cell
 from hfast.sched.cost import CostModel, estimate_candidate_cost
-from hfast.sched.journal import (
-    RunJournal,
-    build_fingerprint,
-    journal_dir_for,
-    new_run_id,
-)
-from hfast.sched.scheduler import SchedulerConfig, run_stealing
+from hfast.sched.journal import build_fingerprint
+from hfast.sched.scheduler import cell_runner
 from hfast.timing import DEFAULT_TIMING_SEED, mix64
 
 FRONTIER_FORMAT = 1
@@ -76,20 +70,6 @@ OBJECTIVES = (
 
 # Decouples the evolutionary mutation stream from initial sampling.
 _MUTATE_STREAM = 0xD5E_5EED
-
-# Scheduler stats that accumulate across an evolutionary search's
-# per-generation run_stealing batches (vs config values that assign).
-_SUM_STATS = frozenset(
-    {
-        "tasks_dispatched",
-        "steals",
-        "retries",
-        "redispatches",
-        "workers_spawned",
-        "workers_lost",
-        "cells_from_journal",
-    }
-)
 
 
 class SearchSpecError(ValueError):
@@ -207,7 +187,6 @@ def run_search(
     store: bool = True,
     argv: list[str] | None = None,
     workers: int = 1,
-    scheduler: str = "static",
     max_retries: int = 2,
     heartbeat_timeout: float = 30.0,
     retry_backoff: float = 0.05,
@@ -221,48 +200,34 @@ def run_search(
 
     The ``frontier`` document is a pure function of the spec: same
     workload + space + seed + strategy produce byte-identical
-    :func:`frontier_bytes` on every scheduler backend — candidate
-    results merge in definition order, the evaluation-cost objective is
-    analytic, and measured wall times live only in the side-channel
-    ``evaluations`` / manifest fields.
+    :func:`frontier_bytes` in process and under the work-stealing
+    scheduler — candidate results merge in definition order, the
+    evaluation-cost objective is analytic, and measured wall times live
+    only in the side-channel ``evaluations`` / manifest fields.
 
-    ``scheduler="stealing"`` journals candidate completions under the
-    search's fingerprint; ``resume=<run-id>`` replays evaluated
+    Candidates run the way :func:`hfast.sched.cell_runner` decides: in
+    this process for ``workers <= 1`` with no ``journal_dir``,
+    ``resume`` or ``run_id``, else under the work-stealing scheduler,
+    which journals candidate completions under the search's
+    fingerprint; ``resume=<run-id>`` replays evaluated
     candidates (across *all* generations of an evolutionary search,
     since candidate indices are globally unique) and executes only what
     is missing. ``base_config`` supplies the non-searched interconnect
     knobs (bandwidths, latencies, slice seed); searched dimensions are
     always taken from the candidate.
     """
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler '{scheduler}' (expected one of {SCHEDULERS})")
-    if resume is not None and scheduler != "stealing":
-        raise ValueError("resume requires scheduler='stealing'")
     obs = obs if obs is not None else get_obs()
     t_run0 = time.perf_counter()
 
-    sched_info: dict[str, Any] = {"backend": scheduler}
-    journal: RunJournal | None = None
-    if scheduler == "stealing":
-        fingerprint = build_fingerprint(
-            [spec.app],
-            {spec.app: [spec.nranks]},
-            cache_dir,
-            spec.timing_seed,
-            store,
-            {"dse_search": spec.key},
-            None,
-        )
-        jdir = journal_dir_for(cache_dir, journal_dir)
-        if resume is not None:
-            journal = RunJournal.load(jdir, resume)
-            journal.check_fingerprint(fingerprint)
-            run_id = resume
-        else:
-            run_id = run_id or new_run_id()
-            journal = RunJournal.create(jdir, run_id, fingerprint)
-        sched_info["run_id"] = run_id
-        sched_info["resumed"] = resume is not None
+    fingerprint = build_fingerprint(
+        [spec.app], {spec.app: [spec.nranks]}, cache_dir, spec.timing_seed, store,
+        {"dse_search": spec.key}, None,
+    )
+    runner = cell_runner(
+        fingerprint, cache_dir, workers=workers, journal_dir=journal_dir, resume=resume,
+        run_id=run_id, max_retries=max_retries, heartbeat_timeout=heartbeat_timeout,
+        retry_backoff=retry_backoff,
+    )
 
     dse_provenance = {
         "search_key": spec.key,
@@ -276,12 +241,12 @@ def run_search(
         {spec.app: [spec.nranks]},
         argv=argv,
         workers=workers,
-        scheduler=sched_info,
+        scheduler=runner.info,
         dse=dse_provenance,
     )
     obs.tracer.emit_event("manifest", manifest)
 
-    cost_model = CostModel.from_bench_dir(bench_dir) if scheduler == "stealing" else None
+    cost_model = CostModel.from_bench_dir(bench_dir) if runner.journal is not None else None
 
     # Evaluation memo: candidate key -> record. A candidate re-proposed
     # by a later generation is never re-evaluated; definition order of
@@ -351,41 +316,10 @@ def run_search(
             next_index += 1
         if not cells:
             return
-        if scheduler == "stealing":
-            sched_cfg = SchedulerConfig(
-                workers=max(1, workers),
-                max_retries=max_retries,
-                heartbeat_timeout=heartbeat_timeout,
-                retry_backoff=retry_backoff,
-            )
-            raw, stats = run_stealing(
-                cells,
-                lambda cell, attempt: payload_for(cell),
-                execute_cell,
-                sched_cfg,
-                cost_model=cost_model,
-                obs=obs,
-                journal=journal,
-            )
-            raw = list(raw)
-            # Aggregate scheduler counters across generation batches;
-            # configuration-ish stats (workers, timeouts) just assign.
-            for k, v in stats.items():
-                if k in _SUM_STATS:
-                    sched_info[k] = sched_info.get(k, 0) + v
-                elif k == "max_queue_depth":
-                    sched_info[k] = max(sched_info.get(k, 0), v)
-                else:
-                    sched_info[k] = v
-            sched_info["journal"] = str(journal.path) if journal is not None else None
-        elif workers <= 1 or len(cells) <= 1:
-            raw = [execute_cell(payload_for(cell)) for cell in cells]
-        else:
-            payloads = [payload_for(cell) for cell in cells]
-            with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-                raw = list(pool.map(execute_cell, payloads))
-        raw.sort(key=lambda r: r["index"])
-        for res in raw:
+        for res in runner.run(
+            cells, lambda cell, attempt: payload_for(cell), execute_cell,
+            cost_model=cost_model, obs=obs,
+        ):
             merge_one(res)
 
     root_id: int | None = None
@@ -451,13 +385,13 @@ def run_search(
     manifest["failed_cells"] = [
         f"{spec.app}_p{spec.nranks}#{c['candidate']}" for c in eval_reports if not c["ok"]
     ]
-    manifest["scheduler"] = sched_info
+    manifest["scheduler"] = runner.info
     obs.tracer.emit_event("manifest", manifest)
 
     return {
         "frontier": frontier_doc,
         "manifest": manifest,
-        "sched": sched_info,
+        "sched": runner.info,
         # Side-channel (wall-clock-derived, outside the byte-identity
         # contract), mirroring wall_s/cell_timing elsewhere.
         "evaluations": eval_reports,

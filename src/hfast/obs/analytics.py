@@ -1,7 +1,7 @@
 """Post-mortem analytics over the unified JSONL trace tree.
 
-PR 5 made every run emit one span tree (serial, pool, and stealing
-backends all produce the same shape); this module is the analysis layer
+Every run emits one span tree (in-process and work-stealing runs
+produce the same shape); this module is the analysis layer
 the paper's methodology actually needs on top of it:
 
 - :func:`load_events` — tolerant loader for ``--trace-out`` files and
@@ -125,7 +125,7 @@ def events_from_journal(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
     # Imported lazily: pipeline imports the obs package, and this module
     # is re-exported from it — a top-level import would be circular.
     from hfast.obs.profile import Observability
-    from hfast.pipeline import _graft_cell
+    from hfast.pipeline import graft_cell
 
     completed: dict[int, dict[str, Any]] = {}
     for rec in records:
@@ -138,7 +138,7 @@ def events_from_journal(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
         rec = completed[index]
         res = dict(rec["result"])
         res.setdefault("attempts", int(rec.get("attempts", 1)))
-        _graft_cell(obs, res, root_id)
+        graft_cell(obs, res, root_id)
         if res.get("t_start") is not None:
             obs.tracer.emit_event(
                 "cell_timing",

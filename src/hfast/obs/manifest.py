@@ -54,7 +54,7 @@ def build_manifest(
         "shard": {"index": shard[0], "count": shard[1]} if shard else None,
         # Scheduler section: backend (+ run id) up front; the work-stealing
         # backend folds its steal/retry/re-dispatch counters in at the end.
-        "scheduler": dict(scheduler) if scheduler else {"backend": "static"},
+        "scheduler": dict(scheduler) if scheduler else {"backend": "serial"},
         # Set when the run was submitted through `hfast serve`: the job id
         # and content-addressed result key, so a served artifact is
         # traceable back to the exact HTTP submission that produced it.

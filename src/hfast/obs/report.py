@@ -170,7 +170,7 @@ def render_markdown(report: dict[str, Any]) -> str:
         if failed:
             lines.append(f"- **failed cells:** {', '.join(failed)}")
         sched = man.get("scheduler") or {}
-        if sched.get("backend") and sched["backend"] != "static":
+        if sched.get("backend") == "stealing":
             lines.append(f"- **scheduler:** {sched['backend']} (run `{sched.get('run_id', '?')}`)")
         lines.append("")
 

@@ -13,9 +13,7 @@ side-channel:
 - **Worker channels** — a process-local registration
   (:func:`set_worker_channel`) that cell execution picks up to forward
   events *as they happen*: over the scheduler's existing duplex pipe
-  (``("ev", event)`` messages), over a ``multiprocessing.Queue`` for the
-  process-pool backend (:func:`pool_worker_init` /
-  :class:`QueueDrain`), or synchronously for serial runs.
+  (``("ev", event)`` messages), or synchronously for in-process runs.
 - :class:`StreamForwardSink` — a trace sink that sends *annotated
   copies* of each event down the channel, stamped with the propagated
   trace context (``run_id``, ``cell``, ``worker``, ``attempt``). The
@@ -29,8 +27,6 @@ does not exist.
 
 from __future__ import annotations
 
-import os
-import queue as queue_mod
 import threading
 from typing import Any, Callable
 
@@ -42,7 +38,7 @@ class EventBus:
     """Thread-safe publish/subscribe fan-out for live telemetry events.
 
     Publishers may be the pipeline's main thread, the scheduler's event
-    loop, or a :class:`QueueDrain` thread; subscribers must therefore be
+    loop, or any other thread; subscribers must therefore be
     internally thread-safe. A subscriber that raises is skipped for that
     event (``dropped`` counts the failures) — live consumers are
     best-effort by contract.
@@ -163,7 +159,7 @@ _worker_id: int | str | None = None
 def set_worker_channel(
     send: Callable[[dict[str, Any]], None], worker_id: int | str | None = None
 ) -> None:
-    """Install this process's live-event channel (scheduler/pool/serial)."""
+    """Install this process's live-event channel (scheduler worker or in-process run)."""
     global _channel, _worker_id
     _channel = send
     _worker_id = worker_id
@@ -205,47 +201,3 @@ def forward_sink_for(payload: dict[str, Any]) -> StreamForwardSink | None:
             "attempt": payload.get("attempt", 1),
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# Process-pool side-channel
-
-def pool_worker_init(q: Any) -> None:
-    """``ProcessPoolExecutor`` initializer: route live events over ``q``."""
-    set_worker_channel(q.put, worker_id=f"pid{os.getpid()}")
-
-
-class QueueDrain:
-    """Parent-side pump from the pool's ``multiprocessing.Queue`` to the bus.
-
-    Runs on a daemon thread for the lifetime of the pool; ``stop()``
-    drains whatever is still queued so no event published before the
-    pool shut down is lost.
-    """
-
-    def __init__(self, q: Any, bus: EventBus, poll_interval: float = 0.05):
-        self._queue = q
-        self._bus = bus
-        self._poll = poll_interval
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, name="hfast-live-drain", daemon=True)
-
-    def start(self) -> "QueueDrain":
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            try:
-                self._bus.publish(self._queue.get(timeout=self._poll))
-            except (queue_mod.Empty, OSError, EOFError):
-                continue
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-        while True:  # drain stragglers enqueued before the pool exited
-            try:
-                self._bus.publish(self._queue.get_nowait())
-            except (queue_mod.Empty, OSError, EOFError):
-                break

@@ -1,15 +1,12 @@
 """Pipeline orchestration: trace -> link table -> topology -> interconnect.
 
-The (app, nranks) analysis matrix is partitioned into *cells*. Cells run
-under one of two scheduler backends:
-
-- ``static`` (the default) — serial execution, or a
-  ``ProcessPoolExecutor`` fan-out with a fixed cell partition when
-  ``workers > 1``.
-- ``stealing`` — the fault-tolerant work-stealing scheduler
-  (:mod:`hfast.sched`): a cost-ordered shared queue, per-cell retries
-  with backoff, heartbeat-based detection of crashed/hung workers with
-  re-dispatch, and a run journal enabling ``resume=<run-id>``.
+The (app, nranks) analysis matrix is partitioned into *cells*.
+:func:`hfast.sched.cell_runner` decides how they run: a one-worker run
+with no journal inputs runs them in the calling process, in cell order;
+every other run goes through the fault-tolerant work-stealing scheduler
+(:mod:`hfast.sched`): a cost-ordered shared queue, per-cell retries
+with backoff, heartbeat-based detection of crashed/hung workers with
+re-dispatch, and a run journal enabling ``resume=<run-id>``.
 
 Either way the merged output is deterministic — cell results, trace
 events, metrics, and cache statistics are stitched back together in
@@ -21,7 +18,7 @@ caches.
 
 A failing cell does not abort the sweep: its error is recorded in the run
 manifest (``cells`` / ``failed_cells``) and the remaining cells still
-run. Under the stealing backend a cell that succeeds on a retry is *not*
+run. Under the stealing scheduler a cell that succeeds on a retry is *not*
 a failure — the manifest records its ``attempts`` count instead.
 
 Every stage runs under an observability span; per-record message sizes
@@ -33,10 +30,8 @@ with per-cell timings and cache statistics once the run completes.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any
 
@@ -56,14 +51,13 @@ from hfast.obs.slo import SloEngine, cells_for_slo
 from hfast.records import SEND_CALLS, Trace
 from hfast.sched.cost import CostModel
 from hfast.sched.faults import inject_slow
-from hfast.sched.journal import RunJournal, build_fingerprint, journal_dir_for, new_run_id
+from hfast.sched.journal import build_fingerprint, new_run_id
 from hfast.sched.mitigate import MitigationPolicy
-from hfast.sched.scheduler import SchedulerConfig, run_stealing
+from hfast.sched.scheduler import cell_runner
 from hfast.timing import DEFAULT_TIMING_SEED, TimingModel
 from hfast.topology import analyze_topology
 
 DEFAULT_SCALES = (16, 64)
-SCHEDULERS = ("static", "stealing")
 
 
 @dataclass(frozen=True)
@@ -257,7 +251,7 @@ def analyze_app(
         return summary
 
 
-def _execute_cell(payload: dict[str, Any]) -> dict[str, Any]:
+def execute_cell(payload: dict[str, Any]) -> dict[str, Any]:
     """Cell entry point: run one cell (in-process or in a worker process).
 
     Builds a private cache handle and observability buffer, so everything
@@ -308,7 +302,7 @@ def _execute_cell(payload: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _graft_cell(
+def graft_cell(
     obs: Observability,
     res: dict[str, Any],
     root_id: int | None,
@@ -389,13 +383,6 @@ def _graft_cell(
     )
 
 
-# Public aliases: the DSE search layer dispatches candidate evaluations
-# through the exact cell harness and trace graft above, so candidates
-# inherit the worker/caching/retry semantics of analysis cells verbatim.
-execute_cell = _execute_cell
-graft_cell = _graft_cell
-
-
 def _merge_cache_stats(target: CacheStats, snap: dict[str, Any]) -> None:
     target.hits += snap.get("hits", 0)
     target.misses += snap.get("misses", 0)
@@ -415,7 +402,6 @@ def run_pipeline(
     workers: int = 1,
     shard: tuple[int, int] | None = None,
     timing_seed: int = DEFAULT_TIMING_SEED,
-    scheduler: str = "static",
     max_retries: int = 2,
     heartbeat_timeout: float = 30.0,
     retry_backoff: float = 0.05,
@@ -434,19 +420,21 @@ def run_pipeline(
 ) -> dict[str, Any]:
     """Run the analysis matrix; returns {manifest, results, anomalies, slo}.
 
-    ``workers > 1`` fans cells out over a process pool; ``shard=(i, m)``
-    restricts the run to every m-th cell starting at i. Failed cells are
-    recorded in ``manifest["cells"]`` / ``manifest["failed_cells"]`` and
-    excluded from ``results``.
+    ``shard=(i, m)`` restricts the run to every m-th cell starting at i.
+    Failed cells are recorded in ``manifest["cells"]`` /
+    ``manifest["failed_cells"]`` and excluded from ``results``.
 
-    ``scheduler="stealing"`` switches to the fault-tolerant work-stealing
-    backend: cells are pulled largest-estimated-cost-first, transient
-    failures retry up to ``max_retries`` times with exponential backoff,
-    crashed or hung workers (``heartbeat_timeout``) have their cells
-    re-dispatched, and progress is journaled so ``resume=<run-id>``
-    replays completed cells instead of re-running them. Scheduler
-    bookkeeping lands in ``manifest["scheduler"]``; per-cell ``attempts``
-    in ``manifest["cells"]``.
+    With ``workers <= 1`` and no ``journal_dir``, ``resume``, ``run_id``
+    or ``mitigate``, cells run in this process, in cell order
+    (``manifest["scheduler"]["backend"] == "serial"``). More workers or
+    any of those inputs move the run onto the fault-tolerant
+    work-stealing scheduler (``"stealing"``): cells are pulled
+    largest-estimated-cost-first, transient failures retry up to
+    ``max_retries`` times with exponential backoff, crashed or hung
+    workers (``heartbeat_timeout``) have their cells re-dispatched, and
+    progress is journaled so ``resume=<run-id>`` replays completed cells
+    instead of re-running them. Scheduler bookkeeping lands in ``manifest["scheduler"]``;
+    per-cell ``attempts`` in ``manifest["cells"]``.
 
     ``bus`` turns on live telemetry: run/cell state transitions and every
     worker event (with trace context attached) are published to the bus
@@ -459,13 +447,13 @@ def run_pipeline(
     ``anomaly_threshold``); flagged cells are emitted as ``anomaly``
     trace events and returned under ``"anomalies"``.
 
-    ``run_id`` pins the stealing scheduler's journal id instead of
+    ``run_id`` pins the journal id instead of
     generating one — callers that must find the journal again after a
     crash (the serve daemon keys journals by job id) pass it here.
     ``service`` is provenance only: it lands in the manifest so a served
     artifact is traceable to its HTTP submission.
 
-    ``mitigate=True`` (stealing backend only) closes the loop: in-flight
+    ``mitigate=True`` closes the loop: in-flight
     cells the detector flags as ``straggler_running`` are speculatively
     re-dispatched and their app's queued siblings reprioritized. This
     changes only scheduling order and wall time — results, cache, trace
@@ -482,12 +470,6 @@ def run_pipeline(
     telemetry history as the final step — a pure side channel that
     touches no event, metric, or artifact the run produces.
     """
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler '{scheduler}' (expected one of {SCHEDULERS})")
-    if resume is not None and scheduler != "stealing":
-        raise ValueError("resume requires scheduler='stealing'")
-    if mitigate and scheduler != "stealing":
-        raise ValueError("mitigate requires scheduler='stealing'")
     obs = obs if obs is not None else get_obs()
     cache = ReproCache(cache_dir, readonly=not store)
     apps = list(apps) if apps else available_apps()
@@ -497,32 +479,22 @@ def run_pipeline(
     if shard is not None:
         cells = shard_cells(cells, shard[0], shard[1])
 
-    sched_info: dict[str, Any] = {"backend": scheduler}
-    journal: RunJournal | None = None
-    if scheduler != "stealing":
-        run_id = None
-    if scheduler == "stealing":
-        fingerprint = build_fingerprint(
-            apps, scales, cache_dir, timing_seed, store,
-            config.to_dict() if config is not None else None, shard,
-        )
-        jdir = journal_dir_for(cache_dir, journal_dir)
-        if resume is not None:
-            journal = RunJournal.load(jdir, resume)
-            journal.check_fingerprint(fingerprint)
-            run_id = resume
-        else:
-            run_id = run_id or new_run_id()
-            journal = RunJournal.create(jdir, run_id, fingerprint)
-        sched_info["run_id"] = run_id
-        sched_info["resumed"] = resume is not None
-    elif bus is not None:
-        # Live-only identity; deliberately kept out of the static manifest
-        # so live mode cannot perturb the deterministic artifacts.
-        run_id = new_run_id()
+    fingerprint = build_fingerprint(
+        apps, scales, cache_dir, timing_seed, store,
+        config.to_dict() if config is not None else None, shard,
+    )
+    runner = cell_runner(
+        fingerprint, cache_dir, workers=workers, journal_dir=journal_dir, resume=resume,
+        run_id=run_id, mitigate=mitigate, max_retries=max_retries,
+        heartbeat_timeout=heartbeat_timeout, retry_backoff=retry_backoff,
+    )
+    backend = runner.info["backend"]
+    # An in-process live run gets a live-only identity, deliberately kept
+    # out of the manifest so live mode cannot perturb the artifacts.
+    run_id = runner.info.get("run_id") or (new_run_id() if bus is not None else None)
 
     manifest = build_manifest(
-        apps, scales, argv=argv, workers=workers, shard=shard, scheduler=sched_info,
+        apps, scales, argv=argv, workers=workers, shard=shard, scheduler=runner.info,
         service=service,
     )
     obs.tracer.emit_event("manifest", manifest)
@@ -531,12 +503,12 @@ def run_pipeline(
     # allowed): a no-op unless configure_logging() installed a sink.
     log = get_logger(component="pipeline", run_id=run_id)
     log.info(
-        "run_start", scheduler=scheduler, workers=workers,
+        "run_start", scheduler=backend, workers=workers,
         ncells=len(cells), apps=apps,
     )
 
     cost_model: CostModel | None = None
-    if scheduler == "stealing" or bus is not None:
+    if runner.journal is not None or bus is not None:
         cost_model = CostModel.from_bench_dir(bench_dir)
 
     detector = anomaly
@@ -590,7 +562,7 @@ def run_pipeline(
         }
 
     def merge_one(res: dict[str, Any]) -> None:
-        _graft_cell(obs, res, root_id)
+        graft_cell(obs, res, root_id)
         if obs.enabled and res.get("t_start") is not None:
             # Wall-clock execution window per cell, for post-hoc scheduler
             # attribution (queue-wait/utilization/gantt). Wall-clock-derived
@@ -641,12 +613,6 @@ def run_pipeline(
                 if bus is not None:
                     bus.publish({"event": "anomaly", **a})
 
-    def merge_raw(raw: list[dict[str, Any]]) -> None:
-        # Completion order is nondeterministic; merge in cell order.
-        raw.sort(key=lambda r: r["index"])
-        for res in raw:
-            merge_one(res)
-
     cell_reports: list[dict[str, Any]] = []
     results: list[dict[str, Any]] = []
     anomalies: list[dict[str, Any]] = []
@@ -660,7 +626,7 @@ def run_pipeline(
                 {
                     "event": "run_start",
                     "run_id": run_id,
-                    "scheduler": scheduler,
+                    "scheduler": backend,
                     "workers": workers,
                     "cells": [
                         {
@@ -676,101 +642,20 @@ def run_pipeline(
                     ],
                 }
             )
-        if scheduler == "stealing":
-            sched_cfg = SchedulerConfig(
-                workers=max(1, workers),
-                max_retries=max_retries,
-                heartbeat_timeout=heartbeat_timeout,
-                retry_backoff=retry_backoff,
-            )
-            raw, stats = run_stealing(
-                cells,
-                lambda cell, attempt: payload_for(cell),
-                _execute_cell,
-                sched_cfg,
-                cost_model=cost_model,
-                obs=obs,
-                journal=journal,
-                on_event=bus.publish if bus is not None else None,
-                mitigator=mitigator,
-            )
-            merge_raw(list(raw))
-            sched_info.update(stats)
-            sched_info["backend"] = "stealing"
-            sched_info["journal"] = str(journal.path) if journal is not None else None
-        elif workers <= 1 or len(cells) <= 1:
-            # Serial runs execute through the exact same cell harness as the
-            # parallel backends, so all three produce one trace shape.
-            if bus is not None:
-                stream.set_worker_channel(bus.publish, worker_id=0)
-            try:
-                for cell in cells:
-                    if bus is not None:
-                        bus.publish(
-                            {
-                                "event": "cell_state",
-                                "state": "running",
-                                "cell": cell.key,
-                                "worker": 0,
-                                "attempt": 1,
-                                "stolen": False,
-                            }
-                        )
-                    res = _execute_cell(payload_for(cell))
-                    if bus is not None:
-                        bus.publish(
-                            {
-                                "event": "cell_state",
-                                "state": "done" if res["ok"] else "failed",
-                                "cell": cell.key,
-                                "worker": 0,
-                                "attempt": 1,
-                                "wall_s": res["wall_s"],
-                            }
-                        )
-                    merge_one(res)
-            finally:
-                if bus is not None:
-                    stream.clear_worker_channel()
-        else:
-            payloads = [payload_for(cell) for cell in cells]
-            n_workers = min(workers, len(cells))
-            if bus is not None:
-                q = mp.get_context().Queue()
-                drain = stream.QueueDrain(q, bus).start()
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=n_workers,
-                        initializer=stream.pool_worker_init,
-                        initargs=(q,),
-                    ) as pool:
-                        futures = [pool.submit(_execute_cell, p) for p in payloads]
-                        raw = []
-                        for fut in as_completed(futures):
-                            res = fut.result()
-                            raw.append(res)
-                            bus.publish(
-                                {
-                                    "event": "cell_state",
-                                    "state": "done" if res["ok"] else "failed",
-                                    "cell": f"{res['app']}_p{res['nranks']}",
-                                    "attempt": 1,
-                                    "wall_s": res["wall_s"],
-                                }
-                            )
-                finally:
-                    drain.stop()
-            else:
-                with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                    raw = list(pool.map(_execute_cell, payloads))
-            merge_raw(raw)
+        # Cells come back in cell-definition order, whatever order they ran in.
+        for res in runner.run(
+            cells, lambda cell, attempt: payload_for(cell), execute_cell,
+            cost_model=cost_model, obs=obs,
+            on_event=bus.publish if bus is not None else None, mitigator=mitigator,
+        ):
+            merge_one(res)
 
     manifest["cells"] = cell_reports
     manifest["failed_cells"] = [
         f"{c['app']}_p{c['nranks']}" for c in cell_reports if not c["ok"]
     ]
     manifest["cache"] = cache.stats.to_dict()
-    manifest["scheduler"] = sched_info
+    manifest["scheduler"] = runner.info
     obs.tracer.emit_event("manifest", manifest)
 
     slo_statuses: list[dict[str, Any]] = []

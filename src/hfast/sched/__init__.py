@@ -17,14 +17,16 @@ Modules:
 - :mod:`hfast.sched.mitigate` — closed-loop straggler mitigation: live
   anomaly advisories become speculative re-dispatch / reprioritization
   hints for the scheduler (``--mitigate``).
-- :mod:`hfast.sched.scheduler` — the work-stealing executor itself.
+- :mod:`hfast.sched.scheduler` — the work-stealing executor itself, and
+  :func:`cell_runner`, which decides whether a run's cells stay in the
+  calling process or go through it.
 """
 
 from hfast.sched.cost import CostModel, estimate_cell_records
 from hfast.sched.faults import FAULT_ENV_VAR, TransientFault, parse_fault_spec
 from hfast.sched.journal import DEFAULT_JOURNAL_SUBDIR, JournalError, RunJournal, new_run_id
 from hfast.sched.mitigate import MitigationPolicy
-from hfast.sched.scheduler import SchedulerConfig, SchedulerError, run_stealing
+from hfast.sched.scheduler import SchedulerConfig, SchedulerError, cell_runner, run_stealing
 
 __all__ = [
     "CostModel",
@@ -39,5 +41,6 @@ __all__ = [
     "new_run_id",
     "SchedulerConfig",
     "SchedulerError",
+    "cell_runner",
     "run_stealing",
 ]

@@ -95,7 +95,7 @@ def maybe_inject(cell_key: str, attempt: int, wedge: threading.Event | None = No
     elif mode == "flaky":
         raise TransientFault(f"injected transient fault for {cell_key} attempt {attempt}")
     # "slow" fires from inject_slow() inside the cell's timed region instead:
-    # sleeping here would not inflate the wall time _execute_cell measures.
+    # sleeping here would not inflate the wall time execute_cell measures.
 
 
 def inject_slow(cell_key: str, attempt: int) -> None:

@@ -54,15 +54,27 @@ def has_journal(journal_dir: str | os.PathLike, run_id: str) -> bool:
     return (Path(journal_dir) / f"{run_id}.jsonl").is_file()
 
 
-def journal_dir_for(cache_dir: str | os.PathLike, journal_dir: str | os.PathLike | None) -> Path:
-    """Journal location: explicit dir, else a subdir beside the cache.
+def open_journal(
+    fingerprint: dict[str, Any],
+    cache_dir: str | os.PathLike,
+    journal_dir: str | os.PathLike | None = None,
+    resume: str | None = None,
+    run_id: str | None = None,
+) -> "RunJournal":
+    """The journal a run writes: ``resume``'s, else a new one.
 
-    The subdir keeps journals out of the cache's ``*.json`` glob while
-    still colocating run state with the artifacts it describes.
+    Resuming checks that the journal was written by the same invocation
+    (``fingerprint``); a new journal takes ``run_id``, or a fresh id.
+    Journals live in ``journal_dir``, by default in a subdir beside the
+    cache: out of the cache's ``*.json`` glob, but next to the artifacts
+    they describe.
     """
-    if journal_dir is not None:
-        return Path(journal_dir)
-    return Path(cache_dir) / DEFAULT_JOURNAL_SUBDIR
+    jdir = Path(cache_dir) / DEFAULT_JOURNAL_SUBDIR if journal_dir is None else Path(journal_dir)
+    if resume is not None:
+        journal = RunJournal.load(jdir, resume)
+        journal.check_fingerprint(fingerprint)
+        return journal
+    return RunJournal.create(jdir, run_id or new_run_id(), fingerprint)
 
 
 class RunJournal:

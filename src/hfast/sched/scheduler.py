@@ -30,6 +30,10 @@ Workers communicate over per-worker ``multiprocessing.Pipe`` pairs
 rather than one shared queue: a SIGKILLed process can never wedge a
 shared queue lock for the survivors, and a half-written message is
 confined to the pipe of the worker that died.
+
+:func:`cell_runner` is the one place that decides how a run executes
+its cells: in the calling process, or under :func:`run_stealing`.
+Both the analysis pipeline and the design-space search go through it.
 """
 
 from __future__ import annotations
@@ -38,16 +42,16 @@ import heapq
 import multiprocessing as mp
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from hfast.obs import stream
 from hfast.obs.logs import get_logger
 from hfast.obs.profile import Observability
 from hfast.sched.cost import CostModel
 from hfast.sched.faults import TransientFault, maybe_inject
-from hfast.sched.journal import RunJournal
+from hfast.sched.journal import RunJournal, open_journal
 
 
 class SchedulerError(RuntimeError):
@@ -56,7 +60,11 @@ class SchedulerError(RuntimeError):
 
 @dataclass
 class SchedulerConfig:
-    """Knobs for the work-stealing executor."""
+    """Knobs for :func:`run_stealing`; :func:`cell_runner` builds one per run.
+
+    ``workers`` caps the worker processes. Even at one worker the cells
+    run in a forked process, with retries, heartbeats and a journal.
+    """
 
     workers: int = 2
     max_retries: int = 2  # retries after the first attempt
@@ -663,3 +671,122 @@ def run_stealing(
         if not journal.complete:
             journal.record_complete()
     return results, stats
+
+
+# ---------------------------------------------------------------------------
+# Choosing the executor
+
+# Scheduler counters that add up over the batches of one run (the
+# generations of an evolutionary search); other stats are assigned.
+_SUM_STATS = frozenset({
+    "tasks_dispatched", "steals", "retries", "redispatches",
+    "workers_spawned", "workers_lost", "cells_from_journal",
+})
+
+
+@dataclass
+class CellRunner:
+    """How one run executes its batches of cells; built by :func:`cell_runner`.
+
+    With no ``journal`` every batch runs in the calling process, in cell
+    order. Otherwise every batch goes through :func:`run_stealing` and is
+    journaled. ``info`` is the run manifest's ``scheduler`` block: the
+    backend (``"serial"`` or ``"stealing"``), the run id, and the
+    scheduler counters summed over all batches.
+    """
+
+    config: SchedulerConfig
+    journal: RunJournal | None = None
+    info: dict[str, Any] = field(default_factory=lambda: {"backend": "serial"})
+
+    def run(
+        self,
+        cells: Sequence[Any],
+        make_payload: Callable[[Any, int], dict[str, Any]],
+        execute_fn: Callable[[dict[str, Any]], dict[str, Any]],
+        cost_model: CostModel | None = None,
+        obs: Observability | None = None,
+        on_event: Callable[[dict[str, Any]], None] | None = None,
+        mitigator: Any = None,
+    ) -> Iterable[dict[str, Any]]:
+        """Run one batch; one raw result per cell, in cell order.
+
+        In process, each result is yielded as soon as its cell finishes,
+        so the caller merges it before the next cell starts. ``on_event``
+        gets the same live ``cell_state`` and forwarded worker events on
+        both paths.
+        """
+        if self.journal is None:
+            return _run_in_process(cells, make_payload, execute_fn, on_event)
+        results, stats = run_stealing(
+            cells, make_payload, execute_fn, self.config, cost_model=cost_model,
+            obs=obs, journal=self.journal, on_event=on_event, mitigator=mitigator,
+        )
+        for key, value in stats.items():
+            if key in _SUM_STATS:
+                self.info[key] = self.info.get(key, 0) + value
+            elif key == "max_queue_depth":
+                self.info[key] = max(self.info.get(key, 0), value)
+            else:
+                self.info[key] = value
+        self.info["journal"] = str(self.journal.path)
+        return results
+
+
+def _run_in_process(
+    cells: Sequence[Any],
+    make_payload: Callable[[Any, int], dict[str, Any]],
+    execute_fn: Callable[[dict[str, Any]], dict[str, Any]],
+    on_event: Callable[[dict[str, Any]], None] | None,
+) -> Iterator[dict[str, Any]]:
+    if on_event is not None:
+        stream.set_worker_channel(on_event, worker_id=0)
+    try:
+        for cell in cells:
+            state = {"event": "cell_state", "cell": f"{cell.app}_p{cell.nranks}",
+                     "worker": 0, "attempt": 1}
+            if on_event is not None:
+                on_event({**state, "state": "running", "stolen": False})
+            res = execute_fn(make_payload(cell, 1))
+            if on_event is not None:
+                on_event({**state, "state": "done" if res["ok"] else "failed",
+                          "wall_s": res["wall_s"]})
+            yield res
+    finally:
+        if on_event is not None:
+            stream.clear_worker_channel()
+
+
+def cell_runner(
+    fingerprint: dict[str, Any],
+    cache_dir: str,
+    workers: int = 1,
+    journal_dir: str | None = None,
+    resume: str | None = None,
+    run_id: str | None = None,
+    mitigate: bool = False,
+    max_retries: int = 2,
+    heartbeat_timeout: float = 30.0,
+    retry_backoff: float = 0.05,
+) -> CellRunner:
+    """Decide how a run executes its cells, from the run's own inputs.
+
+    A run with ``workers <= 1`` and no ``journal_dir``, ``resume``,
+    ``run_id`` or ``mitigate`` runs in the calling process, in cell
+    order. Every other run goes through :func:`run_stealing` and
+    journals to ``journal_dir`` (default ``<cache_dir>/.sched_journal``);
+    ``resume`` replays that journal, checked against ``fingerprint``.
+    The choice changes where and when cells run, never what they
+    compute.
+    """
+    config = SchedulerConfig(
+        workers=max(1, workers),
+        max_retries=max_retries,
+        heartbeat_timeout=heartbeat_timeout,
+        retry_backoff=retry_backoff,
+    )
+    if workers <= 1 and journal_dir is None and resume is None and run_id is None and not mitigate:
+        return CellRunner(config)
+    journal = open_journal(fingerprint, cache_dir, journal_dir, resume, run_id)
+    info = {"backend": "stealing", "run_id": journal.run_id, "resumed": resume is not None}
+    return CellRunner(config, journal, info)

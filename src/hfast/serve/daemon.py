@@ -35,9 +35,9 @@ pipeline already has. Each job runs under its own
 registry and, when ``--trace-out`` is set, its spans graft into the
 daemon's unified trace under a ``serve_job`` root.
 
-The daemon is crash-tolerant: every job is journaled in a ledger and
-(with the default stealing scheduler) in the run journal keyed by the
-job's pinned ``run_id``. On restart, unfinished ledger entries are
+The daemon is crash-tolerant: every job is journaled in a ledger and,
+since it runs under the work-stealing scheduler, in the run journal
+keyed by the job's pinned ``run_id``. On restart, unfinished ledger entries are
 re-admitted, resuming from their journal when one survived. ``SIGTERM``
 triggers a graceful drain: new submissions get ``503`` while in-flight
 jobs run to completion and their results become servable before exit.
@@ -103,7 +103,6 @@ class ServeConfig:
     max_running: int = 2
     queue_limit: int = 8
     workers: int = 1
-    scheduler: str = "stealing"
     trace_out: str | None = None
     store: bool = True
     bench_dir: str | None = None
@@ -296,9 +295,7 @@ class AnalysisService:
                 kind=kind,
                 recovered=True,
             )
-            if self.config.scheduler == "stealing" and has_journal(
-                self.journal_dir, job.run_id
-            ):
+            if has_journal(self.journal_dir, job.run_id):
                 job.resume = job.run_id
             self.metrics.counter("serve.jobs_recovered").inc()
             self._admit_job(job)
@@ -555,7 +552,6 @@ class AnalysisService:
                 argv=["hfast-serve", job.job_id],
                 workers=self.config.workers,
                 timing_seed=spec.timing_seed,
-                scheduler=self.config.scheduler,
                 journal_dir=str(self.journal_dir),
                 resume=job.resume,
                 run_id=job.run_id,
@@ -578,7 +574,6 @@ class AnalysisService:
                 store=self.config.store,
                 argv=["hfast-serve", job.job_id],
                 workers=self.config.workers,
-                scheduler=self.config.scheduler,
                 journal_dir=str(self.journal_dir),
                 resume=job.resume,
                 run_id=job.run_id,

@@ -19,17 +19,16 @@ __all__ = ["ServeConfig", "ServiceThread", "make_config", "request", "wait_for_j
 
 
 def make_config(tmp_path, **overrides: Any) -> ServeConfig:
-    """Daemon config against throwaway dirs; static scheduler for speed.
+    """Daemon config against throwaway dirs.
 
-    The static scheduler runs cells in-process, so fault injection and
-    ``_SLOW_SECONDS`` monkeypatching work without fork plumbing. Tests
-    that need the journal/resume machinery override ``scheduler``.
+    Every job runs under the work-stealing scheduler with a journal, as
+    in production: its cells run in a forked worker, which inherits the
+    fault-injection environment and any ``_SLOW_SECONDS`` monkeypatch.
     """
     kwargs: dict[str, Any] = {
         "port": 0,
         "cache_dir": str(tmp_path / "cache"),
         "serve_dir": str(tmp_path / "serve"),
-        "scheduler": "static",
         "bench_dir": None,
     }
     kwargs.update(overrides)

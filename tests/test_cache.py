@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -190,6 +192,40 @@ class TestReproCache:
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1
+
+    def test_concurrent_stores_of_one_key_all_succeed(self, tmp_path):
+        """Writers of one key each write their own temp file: none fails,
+        one whole document remains, and no temp file is left behind."""
+        trace = synthesize("cactus", 64)
+        writers = 8
+        barrier = threading.Barrier(writers)
+        errors = []
+
+        def store():
+            cache = ReproCache(tmp_path)
+            barrier.wait()
+            try:
+                for _ in range(5):
+                    cache.store(trace)
+            except Exception as exc:  # noqa: BLE001 - collected and asserted below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=store) for _ in range(writers)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        (path,) = tmp_path.glob("*.json")
+        assert path == ReproCache(tmp_path).path_for("cactus", 64)
+        assert list(tmp_path.iterdir()) == [path]
+        assert json.loads(path.read_text()) == json.loads(json.dumps(trace.to_document()))
 
     def test_load_rejects_corrupt_file(self, tmp_path):
         cache = ReproCache(tmp_path)

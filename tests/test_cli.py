@@ -104,8 +104,14 @@ def test_apps_listing(seed_cache, capsys):
         ["analyze", "--backend", "vector"],
         ["search", "--app", "gtc", "--scale", "8", "--matchers", "vector"],
         ["search", "--app", "gtc", "--scale", "8", "--backend", "vector"],
+        ["analyze", "--scheduler", "stealing"],
+        ["search", "--app", "gtc", "--scale", "8", "--scheduler", "stealing"],
+        ["serve", "--job-scheduler", "static"],
     ],
-    ids=["analyze-matcher", "analyze-backend", "search-matchers", "search-backend"],
+    ids=[
+        "analyze-matcher", "analyze-backend", "search-matchers", "search-backend",
+        "analyze-scheduler", "search-scheduler", "serve-job-scheduler",
+    ],
 )
 def test_removed_implementation_flags_are_argparse_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,8 @@
 """Design-space search: cross-backend byte-identity, resume, tracing.
 
 The acceptance contract for the DSE subsystem: a fixed-seed search
-produces a byte-identical frontier artifact on the serial, process-pool,
-and work-stealing backends, and the journal-backed resume path replays
+produces a byte-identical frontier artifact in process and under the
+work-stealing scheduler, and the journal-backed resume path replays
 to the same bytes. gtc @ p8 is in the repo cache, so candidate
 evaluations are warm cache hits and the differentials stay fast.
 """
@@ -22,6 +22,7 @@ from hfast.dse.search import (
 )
 from hfast.dse.space import SearchSpace
 from hfast.obs.profile import Observability
+from hfast.sched.journal import JournalError
 
 SPACE = SearchSpace(circuits=(1, 4), reconfig_costs=(0.0, 1e-3), timesteps=(1, 4))
 
@@ -32,8 +33,12 @@ def _spec(**overrides):
     return SearchSpec(**kwargs)
 
 
-def _run(spec, cache_dir, tmp_path, **kwargs):
-    kwargs.setdefault("journal_dir", str(tmp_path / "journal"))
+def _run(spec, cache_dir, tmp_path, journal=False, **kwargs):
+    """One search. ``journal=True`` runs it under the work-stealing
+    scheduler; every stealing run journals under ``tmp_path``, never into
+    the repo cache."""
+    if journal or kwargs.get("workers", 1) > 1 or "resume" in kwargs:
+        kwargs["journal_dir"] = str(tmp_path / "journal")
     kwargs.setdefault("store", False)
     kwargs.setdefault("bench_dir", str(tmp_path))
     return run_search(spec, cache_dir=str(cache_dir), **kwargs)
@@ -60,12 +65,12 @@ def test_spec_key_is_content_addressed():
 
 def test_grid_frontier_byte_identical_across_backends(repo_cache_dir, tmp_path):
     spec = _spec()
-    serial = _run(spec, repo_cache_dir, tmp_path / "a", scheduler="static", workers=1)
-    pool = _run(spec, repo_cache_dir, tmp_path / "b", scheduler="static", workers=2)
-    steal = _run(spec, repo_cache_dir, tmp_path / "c", scheduler="stealing", workers=2)
+    serial = _run(spec, repo_cache_dir, tmp_path / "a", workers=1)
+    steal = _run(spec, repo_cache_dir, tmp_path / "c", workers=2)
+    assert serial["sched"]["backend"] == "serial"
+    assert steal["sched"]["backend"] == "stealing"
 
     blob = frontier_bytes(serial["frontier"])
-    assert frontier_bytes(pool["frontier"]) == blob
     assert frontier_bytes(steal["frontier"]) == blob
 
     doc = serial["frontier"]
@@ -79,15 +84,14 @@ def test_grid_frontier_byte_identical_across_backends(repo_cache_dir, tmp_path):
 
 def test_evolution_frontier_byte_identical_and_seeded(repo_cache_dir, tmp_path):
     spec = _spec(strategy="evolution", seed=7, population=4, generations=2)
-    serial = _run(spec, repo_cache_dir, tmp_path / "a", scheduler="static")
-    steal = _run(spec, repo_cache_dir, tmp_path / "b", scheduler="stealing", workers=2)
+    serial = _run(spec, repo_cache_dir, tmp_path / "a")
+    steal = _run(spec, repo_cache_dir, tmp_path / "b", workers=2)
     assert frontier_bytes(serial["frontier"]) == frontier_bytes(steal["frontier"])
 
     other = _run(
         _spec(strategy="evolution", seed=8, population=4, generations=2),
         repo_cache_dir,
         tmp_path / "c",
-        scheduler="static",
     )
     assert other["frontier"]["seed"] == 8
     assert frontier_bytes(other["frontier"]) != frontier_bytes(serial["frontier"])
@@ -95,25 +99,28 @@ def test_evolution_frontier_byte_identical_and_seeded(repo_cache_dir, tmp_path):
 
 def test_resume_replays_to_identical_bytes(repo_cache_dir, tmp_path):
     spec = _spec()
-    first = _run(spec, repo_cache_dir, tmp_path, scheduler="stealing")
+    first = _run(spec, repo_cache_dir, tmp_path, journal=True)
     run_id = first["sched"]["run_id"]
-    resumed = _run(
-        spec, repo_cache_dir, tmp_path, scheduler="stealing", resume=run_id
-    )
+    resumed = _run(spec, repo_cache_dir, tmp_path, resume=run_id)
     assert resumed["sched"]["cells_from_journal"] == SPACE.size
     assert frontier_bytes(resumed["frontier"]) == frontier_bytes(first["frontier"])
 
 
 def test_resume_requires_stealing(repo_cache_dir, tmp_path):
-    with pytest.raises(ValueError):
-        _run(_spec(), repo_cache_dir, tmp_path, scheduler="static", resume="r-123")
+    """A one-worker resume runs under the stealing scheduler, which owns
+    the journal; an unknown run id is a journal error, not a fresh run."""
+    with pytest.raises(JournalError, match="no journal"):
+        _run(_spec(), repo_cache_dir, tmp_path, resume="r-123")
+    first = _run(_spec(), repo_cache_dir, tmp_path, journal=True)
+    resumed = _run(_spec(), repo_cache_dir, tmp_path, resume=first["sched"]["run_id"])
+    assert resumed["sched"]["backend"] == "stealing" and resumed["sched"]["resumed"]
 
 
 # -- frontier structure -----------------------------------------------------
 
 
 def test_objectives_and_frontier_invariants(repo_cache_dir, tmp_path):
-    out = _run(_spec(), repo_cache_dir, tmp_path, scheduler="static")
+    out = _run(_spec(), repo_cache_dir, tmp_path)
     doc = out["frontier"]
     names = [o["name"] for o in doc["objectives"]]
     assert names == [o.name for o in OBJECTIVES]
@@ -132,7 +139,7 @@ def test_objectives_and_frontier_invariants(repo_cache_dir, tmp_path):
 def test_trace_carries_candidate_spans_and_frontier_event(repo_cache_dir, tmp_path):
     obs = Observability(enabled=True, keep_events=True)
     spec = _spec()
-    out = _run(spec, repo_cache_dir, tmp_path, scheduler="static", obs=obs)
+    out = _run(spec, repo_cache_dir, tmp_path, obs=obs)
     events = obs.events
     roots = [e for e in events if e.get("event") == "span" and e.get("name") == "dse_search"]
     assert len(roots) == 1

@@ -2,8 +2,8 @@
 
 The acceptance bar for the fault-tolerant backend: a stealing run with an
 injected worker crash — and a subsequent ``--resume`` of an aborted run —
-must produce results, cache artifacts, and reports byte-identical to a
-serial static run (modulo wall-clock timing fields and the scheduler's
+must produce results, cache artifacts, and reports byte-identical to an
+in-process serial run (modulo wall-clock timing fields and the scheduler's
 own bookkeeping). Faults are injected through ``HFAST_FAULT_INJECT``,
 which forked workers inherit.
 """
@@ -23,12 +23,12 @@ from test_parallel_determinism import normalize
 APPS = ["cactus", "gtc", "lbmhd", "paratec"]
 SCALES = {app: [8] for app in APPS}
 
-# Keys that only the stealing backend produces; everything else in a run's
-# output must match a serial static run byte-for-byte.
+# Keys that only the stealing scheduler produces; everything else in a run's
+# output must match an in-process serial run byte-for-byte.
 SCHED_FIELDS = {"scheduler", "attempts", "worker", "from_journal"}
 
 
-def run_sweep(cache_dir, scheduler="static", workers=1, **kwargs):
+def run_sweep(cache_dir, workers=1, **kwargs):
     obs = Observability(enabled=True)
     out = run_pipeline(
         apps=APPS,
@@ -37,7 +37,6 @@ def run_sweep(cache_dir, scheduler="static", workers=1, **kwargs):
         obs=obs,
         argv=["test"],
         workers=workers,
-        scheduler=scheduler,
         bench_dir=None,
         **kwargs,
     )
@@ -67,7 +66,7 @@ def comparable(out):
 
 def test_stealing_matches_serial_without_faults(tmp_path):
     serial = run_sweep(tmp_path / "serial")
-    stealing = run_sweep(tmp_path / "steal", scheduler="stealing", workers=4)
+    stealing = run_sweep(tmp_path / "steal", workers=4)
 
     assert stealing["results"] == serial["results"]
     assert cache_digests(tmp_path / "steal") == cache_digests(tmp_path / "serial")
@@ -85,7 +84,7 @@ def test_crashed_worker_cell_is_redispatched_byte_identical(tmp_path, monkeypatc
     """The headline criterion: SIGKILL mid-cell, output still byte-identical."""
     serial = run_sweep(tmp_path / "serial")
     monkeypatch.setenv(FAULT_ENV_VAR, "crash:gtc_p8:1")
-    crashed = run_sweep(tmp_path / "crash", scheduler="stealing", workers=4)
+    crashed = run_sweep(tmp_path / "crash", workers=4)
 
     assert crashed["results"] == serial["results"]
     assert cache_digests(tmp_path / "crash") == cache_digests(tmp_path / "serial")
@@ -102,7 +101,7 @@ def test_hung_worker_trips_heartbeat_and_recovers(tmp_path, monkeypatch):
     serial = run_sweep(tmp_path / "serial")
     monkeypatch.setenv(FAULT_ENV_VAR, "hang:gtc_p8:1")
     hung = run_sweep(
-        tmp_path / "hang", scheduler="stealing", workers=2, heartbeat_timeout=1.0
+        tmp_path / "hang", workers=2, heartbeat_timeout=1.0
     )
 
     assert hung["results"] == serial["results"]
@@ -115,7 +114,7 @@ def test_flaky_cell_retries_to_success(tmp_path, monkeypatch):
     serial = run_sweep(tmp_path / "serial")
     monkeypatch.setenv(FAULT_ENV_VAR, "flaky:gtc_p8:1")
     flaky = run_sweep(
-        tmp_path / "flaky", scheduler="stealing", workers=2, retry_backoff=0.01
+        tmp_path / "flaky", workers=2, retry_backoff=0.01
     )
 
     assert flaky["results"] == serial["results"]
@@ -128,7 +127,7 @@ def test_flaky_cell_retries_to_success(tmp_path, monkeypatch):
 def test_exhausted_retries_mark_cell_failed(tmp_path, monkeypatch):
     monkeypatch.setenv(FAULT_ENV_VAR, "flaky:gtc_p8:99")
     out = run_sweep(
-        tmp_path / "c", scheduler="stealing", workers=2, max_retries=1, retry_backoff=0.01
+        tmp_path / "c", workers=2, max_retries=1, retry_backoff=0.01
     )
     assert out["manifest"]["failed_cells"] == ["gtc_p8"]
     assert len(out["results"]) == 3  # the other cells still completed
@@ -143,13 +142,13 @@ def test_resume_aborted_run_byte_identical(tmp_path, monkeypatch):
 
     monkeypatch.setenv(FAULT_ENV_VAR, "flaky:paratec_p8:99")
     aborted = run_sweep(
-        tmp_path / "r", scheduler="stealing", workers=2, max_retries=0, retry_backoff=0.01
+        tmp_path / "r", workers=2, max_retries=0, retry_backoff=0.01
     )
     assert aborted["manifest"]["failed_cells"] == ["paratec_p8"]
     run_id = aborted["manifest"]["scheduler"]["run_id"]
 
     monkeypatch.delenv(FAULT_ENV_VAR)
-    resumed = run_sweep(tmp_path / "r", scheduler="stealing", workers=2, resume=run_id)
+    resumed = run_sweep(tmp_path / "r", workers=2, resume=run_id)
 
     assert resumed["results"] == serial["results"]
     assert cache_digests(tmp_path / "r") == cache_digests(tmp_path / "serial")
@@ -167,11 +166,11 @@ def test_resume_aborted_run_byte_identical(tmp_path, monkeypatch):
 
 def test_resume_unknown_run_is_an_error(tmp_path):
     with pytest.raises(JournalError, match="no journal"):
-        run_sweep(tmp_path / "c", scheduler="stealing", workers=2, resume="nope")
+        run_sweep(tmp_path / "c", workers=2, resume="nope")
 
 
 def test_resume_refuses_different_sweep(tmp_path):
-    out = run_sweep(tmp_path / "c", scheduler="stealing", workers=2)
+    out = run_sweep(tmp_path / "c", workers=2)
     run_id = out["manifest"]["scheduler"]["run_id"]
     obs = Observability(enabled=True)
     with pytest.raises(JournalError, match="scales"):
@@ -182,7 +181,6 @@ def test_resume_refuses_different_sweep(tmp_path):
             obs=obs,
             argv=["test"],
             workers=2,
-            scheduler="stealing",
             resume=run_id,
             bench_dir=None,
         )
@@ -199,7 +197,6 @@ def _cli_analyze(tmp_path, *extra):
             "--apps", "gtc,cactus",
             "--scales", "8",
             "--cache-dir", str(tmp_path / "cache"),
-            "--scheduler", "stealing",
             "--workers", "2",
             *extra,
         ]

@@ -105,12 +105,14 @@ def test_live_serial_is_byte_identical_to_live_off(tmp_path):
 
 
 def test_live_stealing_is_byte_identical_to_live_off(tmp_path):
-    off = run_sweep(tmp_path / "off", scheduler="stealing", workers=4)
-    on = run_sweep(tmp_path / "on", scheduler="stealing", workers=4, live=True)
+    off = run_sweep(tmp_path / "off", workers=4)
+    on = run_sweep(tmp_path / "on", workers=4, live=True)
     assert_identical(on, off, tmp_path / "on", tmp_path / "off")
 
 
 def test_live_pool_matches_serial_without_live(tmp_path):
+    """A live run on a pool of four stealing workers reproduces a plain
+    in-process run."""
     serial = run_sweep(tmp_path / "serial")
     pool = run_sweep(tmp_path / "pool", workers=4, live=True)
     assert_identical(pool, serial, tmp_path / "pool", tmp_path / "serial")
@@ -122,7 +124,7 @@ def test_live_chaos_run_still_byte_identical(tmp_path, monkeypatch):
     serial = run_sweep(tmp_path / "serial")
     monkeypatch.setenv(FAULT_ENV_VAR, "flaky:gtc_p8:1")
     chaos = run_sweep(
-        tmp_path / "chaos", scheduler="stealing", workers=2,
+        tmp_path / "chaos", workers=2,
         retry_backoff=0.01, live=True,
     )
     assert chaos["manifest"]["failed_cells"] == []

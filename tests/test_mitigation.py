@@ -12,8 +12,6 @@ Two acceptance bars from the issue:
 
 import time
 
-import pytest
-
 from hfast.pipeline import run_pipeline
 from hfast.sched import faults
 from hfast.sched.faults import FAULT_ENV_VAR
@@ -75,9 +73,13 @@ def test_policy_from_bench_dir_builds_real_detector():
 
 
 def test_mitigate_requires_stealing_backend(tmp_path):
-    with pytest.raises(ValueError, match="stealing"):
-        run_pipeline(apps=["gtc"], scales={"gtc": [8]},
-                     cache_dir=str(tmp_path / "c"), argv=["test"], mitigate=True)
+    """Mitigation acts inside the stealing scheduler, so even a one-worker
+    mitigated run goes through it."""
+    out = run_pipeline(apps=["gtc"], scales={"gtc": [8]}, cache_dir=str(tmp_path / "c"),
+                       argv=["test"], bench_dir=None, mitigate=True)
+    sched = out["manifest"]["scheduler"]
+    assert sched["backend"] == "stealing" and sched["mitigation"]["enabled"] is True
+    assert out["manifest"]["failed_cells"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +95,7 @@ def test_mitigated_chaos_run_is_byte_identical_to_clean_serial(tmp_path, monkeyp
     monkeypatch.setattr(faults, "_SLOW_SECONDS", 1.5)
     monkeypatch.setenv(FAULT_ENV_VAR, f"slow:{SLOW_CELL}:1")
     mitigated = run_sweep(
-        tmp_path / "mit", scheduler="stealing", workers=2,
+        tmp_path / "mit", workers=2,
         retry_backoff=0.01, mitigate=True,
     )
 
@@ -116,12 +118,12 @@ def test_mitigation_recovers_straggler_wall_time(tmp_path, monkeypatch):
     monkeypatch.setenv(FAULT_ENV_VAR, f"slow:{SLOW_CELL}:1")
 
     t0 = time.monotonic()
-    plain = run_sweep(tmp_path / "off", scheduler="stealing", workers=2,
+    plain = run_sweep(tmp_path / "off", workers=2,
                       retry_backoff=0.01)
     t_plain = time.monotonic() - t0
 
     t0 = time.monotonic()
-    mitigated = run_sweep(tmp_path / "on", scheduler="stealing", workers=2,
+    mitigated = run_sweep(tmp_path / "on", workers=2,
                           retry_backoff=0.01, mitigate=True)
     t_mitigated = time.monotonic() - t0
 
@@ -139,5 +141,5 @@ def test_mitigation_recovers_straggler_wall_time(tmp_path, monkeypatch):
 
 
 def test_unmitigated_stealing_run_reports_no_mitigation_block(tmp_path):
-    out = run_sweep(tmp_path / "c", scheduler="stealing", workers=2)
+    out = run_sweep(tmp_path / "c", workers=2)
     assert "mitigation" not in out["manifest"]["scheduler"]

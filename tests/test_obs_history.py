@@ -181,7 +181,7 @@ def test_snapshot_from_run_splits_deterministic_data_from_volatile_meta():
     assert meta["stragglers"] == ["cactus_p8"] and meta["slo_violations"] == 1
 
     # The same work under a different scheduler/time yields the same key.
-    manifest2 = dict(manifest, timestamp=999.0, scheduler={"backend": "static", "run_id": "r-2"})
+    manifest2 = dict(manifest, timestamp=999.0, scheduler={"backend": "serial", "run_id": "r-2"})
     assert snapshot_from_run(manifest2, results)["key"] == snap["key"]
 
 
@@ -296,15 +296,15 @@ def test_history_is_a_pure_side_channel(tmp_path):
 
 
 def test_backends_dedupe_to_one_snapshot_and_trend_is_byte_identical(tmp_path):
-    """Serial, pool, and stealing runs of the same work: one history key."""
+    """In-process and stealing runs of the same work: one history key."""
     cache = tmp_path / "cache"
     hist_dir = tmp_path / "hist"
-    for kw in ({}, {"workers": 2}, {"scheduler": "stealing", "workers": 2}):
+    for kw in ({}, {"workers": 2}, {"journal_dir": str(tmp_path / "journal")}):
         run_once(cache, history_dir=hist_dir, **kw)
     snaps = read_history(hist_dir, kinds=("run",))
     assert len(snaps) == 1, [s["meta"]["scheduler"] for s in read_history(hist_dir)]
     schedulers = {s["meta"]["scheduler"] for s in read_history(hist_dir)}
-    assert schedulers <= {None, "static", "pool", "stealing"}
+    assert schedulers <= {None, "serial", "stealing"}
 
     # Trend output is a pure function of content: byte-identical however
     # many times it renders, and stable under compaction.

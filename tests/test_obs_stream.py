@@ -4,18 +4,15 @@ Covers the event bus / worker-channel plumbing in ``hfast.obs.stream``,
 the scheduler's live event emission (``on_event``) plus prior-attempt
 retention, and the tentpole structural contract: the merged JSONL trace
 is ONE tree — every span and app_summary event's parent chain resolves
-to the single run-root ``pipeline`` span, across serial, process-pool,
-and work-stealing backends, retries included.
+to the single run-root ``pipeline`` span, in process and under the
+work-stealing scheduler, retries included.
 """
-
-import queue
-import time
 
 import pytest
 
 from hfast.obs import stream
 from hfast.obs.profile import Observability
-from hfast.obs.stream import EventBus, QueueDrain, StreamForwardSink
+from hfast.obs.stream import EventBus, StreamForwardSink
 from hfast.pipeline import Cell, run_pipeline
 from hfast.sched.faults import FAULT_ENV_VAR
 from hfast.sched.scheduler import SchedulerConfig, run_stealing
@@ -110,23 +107,6 @@ def test_forward_sink_for_requires_live_payload_and_channel():
     assert stream.worker_channel() is None and stream.worker_id() is None
 
 
-def test_queue_drain_pumps_and_drains_stragglers():
-    q = queue.Queue()
-    bus = EventBus()
-    seen = []
-    bus.subscribe(seen.append)
-    drain = QueueDrain(q, bus, poll_interval=0.01).start()
-    q.put({"event": "a"})
-    q.put({"event": "b"})
-    for _ in range(200):
-        if len(seen) == 2:
-            break
-        time.sleep(0.01)
-    q.put({"event": "late"})  # enqueued around shutdown: must not be lost
-    drain.stop()
-    assert [e["event"] for e in seen] == ["a", "b", "late"]
-
-
 # ---------------------------------------------------------------------------
 # Scheduler: on_event stream + prior-attempt retention (toy executor)
 
@@ -190,17 +170,17 @@ def test_run_stealing_without_on_event_is_silent():
 
 
 # ---------------------------------------------------------------------------
-# Pipeline live streaming (serial + pool backends)
+# Pipeline live streaming (in process and under the stealing scheduler)
 
 
-def run_live(cache_dir, workers=1, scheduler="static", **kwargs):
+def run_live(cache_dir, workers=1, **kwargs):
     bus = EventBus()
     received = []
     bus.subscribe(received.append)
     obs = Observability(enabled=True)
     out = run_pipeline(
         apps=APPS, scales=SCALES, cache_dir=str(cache_dir), obs=obs,
-        argv=["test"], workers=workers, scheduler=scheduler, bench_dir=None,
+        argv=["test"], workers=workers, bench_dir=None,
         bus=bus, **kwargs,
     )
     return out, obs, received
@@ -239,8 +219,8 @@ def test_pool_live_stream_forwards_from_worker_processes(tmp_path):
 
     starts = [e for e in received if e["event"] == "cell_start"]
     assert sorted(s["cell"] for s in starts) == sorted(CELL_ORDER)
-    # Pool workers identify themselves by pid.
-    assert all(str(s["worker"]).startswith("pid") for s in starts)
+    # Pool workers identify themselves by their scheduler worker id.
+    assert all(s["worker"] in range(4) for s in starts)
     done = [e for e in received if e["event"] == "cell_state" and e["state"] == "done"]
     assert len(done) == 4
     assert sum(1 for e in received if e["event"] == "app_summary") == 4
@@ -248,7 +228,7 @@ def test_pool_live_stream_forwards_from_worker_processes(tmp_path):
 
 
 def test_stealing_live_stream_reports_cell_states(tmp_path):
-    out, _obs, received = run_live(tmp_path / "c", workers=2, scheduler="stealing")
+    out, _obs, received = run_live(tmp_path / "c", workers=2)
 
     run_id = out["manifest"]["scheduler"]["run_id"]
     assert received[0]["event"] == "run_start" and received[0]["run_id"] == run_id
@@ -294,15 +274,21 @@ def assert_single_tree(events):
     return root_id, spans
 
 
-@pytest.mark.parametrize(
-    "workers,scheduler", [(1, "static"), (4, "static"), (4, "stealing")]
-)
-def test_merged_trace_is_one_tree_across_backends(tmp_path, workers, scheduler):
+@pytest.mark.parametrize("workers,journal,backend", [
+    pytest.param(1, False, "serial", id="1-serial"),
+    # Four workers and no journal inputs: the call that once selected the
+    # static process pool now runs under stealing with the default journal.
+    pytest.param(4, False, "stealing", id="4-static"),
+    pytest.param(4, True, "stealing", id="4-stealing"),
+])
+def test_merged_trace_is_one_tree_across_backends(tmp_path, workers, journal, backend):
     obs = Observability(enabled=True)
-    run_pipeline(
+    out = run_pipeline(
         apps=APPS, scales=SCALES, cache_dir=str(tmp_path / "c"), obs=obs,
-        argv=["test"], workers=workers, scheduler=scheduler, bench_dir=None,
+        argv=["test"], workers=workers, bench_dir=None,
+        journal_dir=str(tmp_path / "j") if journal else None,
     )
+    assert out["manifest"]["scheduler"]["backend"] == backend
     root_id, spans = assert_single_tree(obs.events)
 
     cells = [e for e in spans.values() if e["name"] == "cell"]
@@ -321,7 +307,7 @@ def test_flaky_retry_attempts_are_siblings_not_duplicate_roots(tmp_path, monkeyp
     obs = Observability(enabled=True)
     run_pipeline(
         apps=APPS, scales=SCALES, cache_dir=str(tmp_path / "c"), obs=obs,
-        argv=["test"], workers=2, scheduler="stealing", retry_backoff=0.01,
+        argv=["test"], workers=2, retry_backoff=0.01,
         bench_dir=None,
     )
     root_id, spans = assert_single_tree(obs.events)
@@ -347,7 +333,7 @@ def test_failed_attempts_with_events_graft_as_attempt_tagged_siblings(tmp_path):
     obs = Observability(enabled=True)
     out = run_pipeline(
         apps=["gtc"], scales={"gtc": [8]}, cache_dir=str(cache_dir), obs=obs,
-        argv=["test"], workers=2, scheduler="stealing", max_retries=1,
+        argv=["test"], workers=2, max_retries=1,
         retry_backoff=0.01, store=False, bench_dir=None,
     )
     assert out["manifest"]["failed_cells"] == ["gtc_p8"]

@@ -4,7 +4,7 @@ The sharded engine's contract: a sweep's output is a pure function of the
 (app, scale) matrix — worker count and sharding must not change a single
 byte of the repro-cache artifacts, any analysis number, or the report
 (modulo wall-clock timing fields). These tests are the safety net for the
-parallel backend and for any future scheduler change.
+work-stealing scheduler and for any future scheduler change.
 """
 
 import hashlib
@@ -86,9 +86,12 @@ def test_worker_counts_produce_identical_output(tmp_path):
     assert d1 and d1 == d4
 
     # Identical report modulo timing fields (cache entry paths differ only
-    # by the run's cache directory).
+    # by the run's cache directory) and the manifest's scheduler block,
+    # which names the executor: four workers run under work stealing.
     r1 = normalize(serial["report"], strip_paths=True)
     r4 = normalize(parallel["report"], strip_paths=True)
+    assert r1["manifest"].pop("scheduler") == {"backend": "serial"}
+    assert r4["manifest"].pop("scheduler")["backend"] == "stealing"
     assert r1 == r4
 
 
@@ -104,7 +107,9 @@ def test_worker_counts_produce_identical_metrics(tmp_path):
     assert m1["msg_size_bytes"] == m4["msg_size_bytes"]
     assert m1["pipeline.bytes_total"] == m4["pipeline.bytes_total"]
     assert m1["pipeline.apps_analyzed"] == m4["pipeline.apps_analyzed"]
-    assert set(m1) == set(m4)
+    # Four workers run under work stealing, which adds its own sched.*
+    # series; every other instrument is present in both runs.
+    assert {k for k in m4 if not k.startswith("sched.")} == set(m1)
 
 
 def test_shard_merge_equals_full_run(tmp_path):

@@ -252,7 +252,7 @@ def test_job_listing_includes_finished_jobs(tmp_path):
 
 def test_manifest_records_service_provenance(tmp_path):
     """The run manifest ties a served artifact back to its submission."""
-    config = make_config(tmp_path, scheduler="stealing")
+    config = make_config(tmp_path)
     with ServiceThread(config) as service:
         port = service.port
         _, _, raw = request(port, "POST", "/v1/jobs", SPEC)

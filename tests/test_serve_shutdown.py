@@ -133,7 +133,7 @@ def test_restart_fails_pre_format2_ledger_entry_and_keeps_serving(tmp_path):
 def test_restart_resumes_interrupted_job_from_journal(tmp_path):
     """A journaled cell is replayed, not re-run, and bytes are identical."""
     spec = canonicalize(SPEC)
-    config = make_config(tmp_path, scheduler="stealing")
+    config = make_config(tmp_path)
     with ServiceThread(config) as service:
         _, _, raw = request(service.port, "POST", "/v1/jobs", SPEC)
         doc = json.loads(raw)
@@ -153,7 +153,7 @@ def test_restart_resumes_interrupted_job_from_journal(tmp_path):
     ledger.write(rec)
     assert (tmp_path / "serve" / "journal" / f"{run_id}.jsonl").is_file()
 
-    with ServiceThread(make_config(tmp_path, scheduler="stealing")) as service:
+    with ServiceThread(make_config(tmp_path)) as service:
         job = wait_for_job(service.port, doc["job_id"])
         assert job["status"] == "done"
         assert job["recovered"] is True
@@ -177,7 +177,6 @@ def test_sigterm_drains_inflight_job_and_exits_zero(tmp_path):
             "--port", "0",
             "--cache-dir", str(tmp_path / "cache"),
             "--serve-dir", str(tmp_path / "serve"),
-            "--job-scheduler", "static",
         ],
         env=env,
         stdout=subprocess.PIPE,

@@ -117,7 +117,7 @@ def test_flaky_fault_retries_to_byte_identical_result(tmp_path, monkeypatch):
     """Chaos x service: a flaky cell retries under the stealing scheduler
     and the served artifact matches a clean direct run byte-for-byte."""
     monkeypatch.setenv(FAULT_ENV_VAR, "flaky:cactus_p8:1")
-    config = make_config(tmp_path, scheduler="stealing")
+    config = make_config(tmp_path)
     with ServiceThread(config) as service:
         port = service.port
         status, _, raw = request(port, "POST", "/v1/jobs", SPEC)
@@ -143,7 +143,7 @@ def test_exhausted_fault_fails_job_with_recorded_error(tmp_path, monkeypatch):
     monkeypatch.setenv(FAULT_ENV_VAR, "flaky:cactus_p8:99")
     # Stealing scheduler: the fault fires on all 1 + max_retries attempts,
     # so the retry budget is genuinely exhausted.
-    config = make_config(tmp_path, scheduler="stealing")
+    config = make_config(tmp_path)
     with ServiceThread(config) as service:
         port = service.port
         status, _, raw = request(port, "POST", "/v1/jobs", SPEC)
