@@ -130,39 +130,9 @@ def compare(
     return failures, rows
 
 
-def snapshot_candidate(cand_path: Path, doc: dict, snapshot_dir: Path, label: str | None) -> Path:
-    """Archive the candidate snapshot into the perf-trajectory directory.
-
-    The copy keeps the original ``BENCH_<sha>.json`` name and gains a
-    ``record`` block (where it came from, which CI job/backend produced
-    it) so ``hfast obs trend --bench`` can attribute each point. A name
-    collision with different content gets a content-hash suffix instead
-    of overwriting history.
-    """
-    import hashlib
-
-    rec = dict(doc)
-    rec["record"] = {
-        "label": label,
-        "source": str(cand_path),
-        "git_sha": doc.get("git_sha"),
-        "timestamp": doc.get("timestamp"),
-        "workers": doc.get("workers"),
-    }
-    body = json.dumps(rec, indent=2, sort_keys=True) + "\n"
-    snapshot_dir.mkdir(parents=True, exist_ok=True)
-    dest = snapshot_dir / cand_path.name
-    if dest.exists() and dest.read_text(encoding="utf-8") != body:
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()[:8]
-        dest = snapshot_dir / f"{cand_path.stem}-{digest}{cand_path.suffix}"
-    dest.write_text(body, encoding="utf-8")
-    print(f"bench_compare: snapshot archived to {dest}")
-    return dest
-
-
 def write_record(path: Path, doc: dict) -> None:
-    """Persist the delta table (used by CI to archive mitigation on/off
-    wall-time comparisons); never changes the exit status."""
+    """Persist the delta table (CI archives the serial vs work-stealing
+    search comparison this way); never changes the exit status."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"bench_compare: delta record written to {path}")
@@ -183,12 +153,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--record", type=Path, default=None,
                         help="write the delta table as JSON here (informational; "
                              "does not affect pass/fail)")
-    parser.add_argument("--snapshot-dir", type=Path, default=None,
-                        help="archive the candidate snapshot (with a 'record' "
-                             "provenance block) into this perf-trajectory dir")
-    parser.add_argument("--label", default=None,
-                        help="provenance label for --snapshot-dir (e.g. the CI job "
-                             "or scheduler backend that produced the candidate)")
     args = parser.parse_args(argv)
 
     # CI invokes this as `bench_compare.py "$(ls -t ...)" "$(ls -t ...)"`;
@@ -203,10 +167,6 @@ def main(argv: list[str] | None = None) -> int:
             f"bench_compare: no baseline to compare {paths[0]} against; "
             "first run — nothing to guard"
         )
-        if args.snapshot_dir:
-            only = load_bench(paths[0])
-            if only is not None:
-                snapshot_candidate(paths[0], only, args.snapshot_dir, args.label)
         if args.record:
             write_record(args.record, {"skipped": "no baseline"})
         return 0
@@ -222,8 +182,6 @@ def main(argv: list[str] | None = None) -> int:
         base_path, cand_path = pair
 
     base, cand = load_bench(base_path), load_bench(cand_path)
-    if cand is not None and args.snapshot_dir:
-        snapshot_candidate(cand_path, cand, args.snapshot_dir, args.label)
     if base is None or cand is None:
         print("bench_compare: unusable snapshot(s); nothing to guard")
         if args.record:

@@ -280,8 +280,8 @@ class ReproCache:
         validate_document(doc, path)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         # One temp file per writer: two writers of the same key (served
-        # jobs differing only in timing seed, a speculative duplicate
-        # cell) each publish a whole document, and the last replace wins.
+        # jobs differing only in timing seed, concurrent runs over one
+        # cache dir) each publish a whole document, and the last replace wins.
         fd, tmp = tempfile.mkstemp(dir=self.cache_dir, prefix=f"{path.stem}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

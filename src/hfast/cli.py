@@ -13,7 +13,6 @@ Subcommands::
     python -m hfast search  --app A --scale N [--circuits 1,2,4] [--strategy grid] ...
     python -m hfast calibrate [--out PARAMS.json]
     python -m hfast apps    [--params PARAMS.json]
-    python -m hfast obs     {history,trend,slo,tail} ...
 
 ``--profile`` turns the observability layer on; ``--trace-out`` /
 ``--metrics-out`` imply it. With no profiling flags, the pipeline runs
@@ -34,21 +33,16 @@ code is nonzero only when every cell failed, or when any cell failed
 under ``--strict``. A cell that succeeds on retry is not a failure:
 ``--strict`` only trips on cells that exhausted their retries.
 
-``--live`` streams telemetry while the run executes: a repainting TTY
-status view (per-cell state, steal/retry counters, cost-model ETA,
-flagged stragglers) that degrades to periodic log lines when stderr is
-not a TTY. ``--metrics-port N`` serves Prometheus text exposition on
-``http://127.0.0.1:N/metrics`` for the duration of the run (0 picks a
-free port). Both imply ``--profile`` and are strict side-channels: the
-merged trace/metrics/report artifacts are byte-identical with or
-without them.
-
-``--mitigate`` (runs under the work-stealing scheduler) closes the
-observability loop: in-flight cells the online anomaly detector flags
-as stragglers are speculatively re-dispatched to another worker (first
-result wins) and their app's queued siblings are reprioritized. Like
-``--live``, it only changes scheduling order and wall time — results,
-cache artifacts, and report content are byte-identical either way.
+A profiled run scores every finished cell with an online anomaly
+detector and prints the stragglers and regressions it flags
+(``--anomaly-threshold`` tunes the straggler ratio). ``--mitigate``
+(runs under the work-stealing scheduler) closes the loop: in-flight
+cells the detector flags as stragglers are speculatively re-dispatched
+to another worker (first result wins) and their app's queued siblings
+are reprioritized. It only changes scheduling order and wall time —
+results, cache artifacts, and report content are byte-identical either
+way. ``--log-out`` writes a size-rotated structured JSON log with
+run/cell correlation ids for the pipeline and the scheduler.
 
 ``hfast trace`` analyzes any ``--trace-out`` JSONL file or scheduler
 journal post-mortem: ``summary`` (critical path, stage self-times,
@@ -78,15 +72,6 @@ either way for a fixed spec.
 the paper's %comm tables and writes a provenance-stamped params
 artifact; ``hfast apps --params`` overlays it and shows per-app
 provenance (default vs calibrated).
-
-``hfast obs`` queries persistent telemetry post-mortem: ``history``
-lists/compacts a ``--history-dir`` written by analyze runs or the serve
-daemon, ``trend`` renders deterministic cross-run trend tables (and can
-ingest ``benchmarks/BENCH_*.json`` perf snapshots via ``--bench``),
-``slo`` evaluates burn-rate rules over the recorded runs, and ``tail``
-reads structured logs across their rotation chain. ``--slo`` on analyze
-evaluates the spec inline — breaches land in the trace, ``/metrics``,
-and the report's SLO compliance section.
 """
 
 from __future__ import annotations
@@ -99,13 +84,9 @@ from hfast.apps import APPS, available_apps
 from hfast.cache import DEFAULT_CACHE_DIR, CacheValidationError, ReproCache
 from hfast.interconnect import InterconnectConfig
 from hfast.obs import analytics
-from hfast.obs.anomaly import AnomalyDetector
 from hfast.obs.flame import folded_stacks, speedscope_doc
-from hfast.obs.live import LiveView
 from hfast.obs.profile import Observability, configure
-from hfast.obs.prom import MetricsServer, render_registry
 from hfast.obs.report import build_report, write_report
-from hfast.obs.stream import EventBus
 from hfast.obs.trace import JsonlSink
 from hfast.pipeline import discover_scales, run_pipeline
 from hfast.sched.journal import JournalError
@@ -210,42 +191,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--report-dir", default=None, help="write report.md + report.json here (implies --profile)")
     p_an.add_argument("--bench-dir", default=None, help="write BENCH_<sha>.json here (implies --profile)")
     p_an.add_argument(
-        "--live", action="store_true",
-        help="stream live run status to stderr (TTY dashboard, or periodic "
-             "log lines when not a TTY; implies --profile)",
-    )
-    p_an.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve Prometheus /metrics on 127.0.0.1:PORT during the run "
-             "(0 = pick a free port; implies --profile)",
-    )
-    p_an.add_argument(
         "--anomaly-threshold", type=float, default=None,
         help="flag a cell as a straggler when its wall time exceeds this "
              "multiple of the cost-model expectation (default: 4.0)",
     )
     p_an.add_argument(
         "--mitigate", action="store_true",
-        help="act on live straggler advisories: speculatively re-dispatch "
+        help="act on in-flight straggler advisories: speculatively re-dispatch "
              "flagged cells and reprioritize their app's queued siblings "
              "(runs under the work-stealing scheduler; results stay byte-identical)",
     )
     p_an.add_argument(
-        "--slo", default=None, metavar="SPEC",
-        help="evaluate SLO burn rates after the run: 'default' or a "
-             "JSON/YAML spec path (implies --profile; breaches land in the "
-             "trace, /metrics, and the report's SLO compliance section)",
-    )
-    p_an.add_argument(
-        "--history-dir", default=None, metavar="DIR",
-        help="append a content-addressed run snapshot to this telemetry "
-             "history directory (implies --profile; query later with "
-             "`hfast obs trend`)",
-    )
-    p_an.add_argument(
         "--log-out", default=None, metavar="LOG.jsonl",
         help="structured JSON log (rotating) with run/cell correlation ids "
-             "for the scheduler and live view",
+             "for the pipeline and the scheduler",
     )
 
     p_rep = sub.add_parser("report", help="render a report from an existing JSONL trace")
@@ -334,15 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-max-bytes", type=int, default=None, metavar="N",
         help="LRU byte budget for the result store: writes past it evict "
              "the least-recently-served artifacts (default: unbounded)",
-    )
-    p_sv.add_argument(
-        "--history-dir", default=None, metavar="DIR",
-        help="append a content-addressed snapshot per finished job to this "
-             "telemetry history directory",
-    )
-    p_sv.add_argument(
-        "--slo", default=None, metavar="SPEC",
-        help="evaluate SLO burn rates per job: 'default' or a JSON/YAML spec path",
     )
     p_sv.add_argument(
         "--heartbeat-interval", type=float, default=2.0, metavar="S",
@@ -450,62 +400,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="overlay a calibrated LogGP params artifact (from `hfast calibrate`); "
              "each app's provenance shows default vs calibrated",
     )
-
-    p_obs = sub.add_parser(
-        "obs", help="query persistent telemetry: history, cross-run trends, SLOs, logs"
-    )
-    obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
-
-    p_oh = obs_sub.add_parser("history", help="list or compact a telemetry history directory")
-    p_oh.add_argument("history_dir", help="history directory (from --history-dir)")
-    p_oh.add_argument("--compact", action="store_true",
-                      help="merge + dedupe every segment into one sealed segment")
-    p_oh.add_argument("--retain", type=int, default=None, metavar="N",
-                      help="with --compact: keep only the newest N snapshots")
-    p_oh.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    p_oh.add_argument("--strict", action="store_true",
-                      help="fail on malformed snapshot lines instead of skipping them")
-
-    p_ot = obs_sub.add_parser(
-        "trend", help="cross-run trend table (deterministic: a pure function of history content)"
-    )
-    p_ot.add_argument("history_dirs", nargs="+", help="one or more history directories")
-    p_ot.add_argument("--bench", default=None, metavar="DIR",
-                      help="also ingest BENCH_*.json perf snapshots from this dir or file")
-    p_ot.add_argument("--app", default=None, help="restrict to one app")
-    p_ot.add_argument("--scale", type=int, default=None, help="restrict to one rank count")
-    p_ot.add_argument("--quantiles", default=None, metavar="METRIC",
-                      help="per-snapshot p50/p99 of a deterministic histogram "
-                           "(e.g. call_latency_usec) instead of the trend table")
-    p_ot.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    p_ot.add_argument("--strict", action="store_true",
-                      help="fail on malformed snapshot lines instead of skipping them")
-
-    p_os = obs_sub.add_parser("slo", help="evaluate SLO burn rates over recorded history")
-    p_os.add_argument("history_dir", help="history directory (from --history-dir)")
-    p_os.add_argument("--spec", default="default",
-                      help="'default' or a JSON/YAML SLO spec path")
-    p_os.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    p_os.add_argument("--strict", action="store_true",
-                      help="exit nonzero when any SLO is breached")
-
-    p_otl = obs_sub.add_parser(
-        "tail", help="read a structured log or trace stream (rotated siblings included)"
-    )
-    p_otl.add_argument("path", help="structured log / JSONL trace path")
-    p_otl.add_argument("-n", type=int, default=None, metavar="N",
-                       help="only the last N records")
-    p_otl.add_argument("--level", choices=("debug", "info", "warning", "error"),
-                       default=None, help="only records at this level")
-    p_otl.add_argument("--event", default=None, help="only records with this event name")
     return parser
 
 
 def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     profiling = bool(
         args.profile or args.trace_out or args.metrics_out or args.report_dir
-        or args.bench_dir or args.live or args.metrics_port is not None
-        or args.slo or args.history_dir
+        or args.bench_dir
     )
     if profiling:
         sink = JsonlSink(args.trace_out) if args.trace_out else None
@@ -513,17 +414,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     else:
         obs = Observability.disabled()
     configure(obs)
-
-    slo_engine = None
-    if args.slo:
-        from hfast.obs.slo import SloEngine, SloSpecError, load_slo_spec
-
-        try:
-            slo_engine = SloEngine(load_slo_spec(args.slo))
-        except SloSpecError as exc:
-            for err in exc.errors:
-                print(f"error: {err}", file=sys.stderr)
-            return 2
 
     if args.log_out:
         from hfast.obs.logs import configure_logging
@@ -544,25 +434,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
         timesteps=args.timesteps,
         reconfig_cost=args.reconfig_cost,
     )
-    # Live telemetry side-channels: an event bus feeding the status view,
-    # and/or a background /metrics endpoint scraping the live registry.
-    bus = live_view = metrics_server = detector = None
-    if args.live:
-        bus = EventBus()
-        kwargs = {"threshold": args.anomaly_threshold} if args.anomaly_threshold else {}
-        detector = AnomalyDetector.from_bench_dir(args.bench_dir or ".", **kwargs)
-        live_view = LiveView(detector=detector)
-        bus.subscribe(live_view.handle)
-        live_view.start()
-    if args.metrics_port is not None:
-        metrics_server = MetricsServer(
-            lambda: render_registry(obs.metrics), port=args.metrics_port
-        ).start()
-        print(
-            f"metrics endpoint: http://127.0.0.1:{metrics_server.port}/metrics",
-            file=sys.stderr,
-        )
-
     try:
         out = run_pipeline(
             apps=apps,
@@ -579,12 +450,8 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             heartbeat_timeout=args.heartbeat_timeout,
             journal_dir=args.journal_dir,
             resume=args.resume,
-            bus=bus,
-            anomaly=detector,
             anomaly_threshold=args.anomaly_threshold,
             mitigate=args.mitigate,
-            slo=slo_engine,
-            history_dir=args.history_dir,
         )
     except CacheValidationError as exc:
         print(f"error: cache validation failed: {exc}", file=sys.stderr)
@@ -593,10 +460,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
         print(f"error: cannot resume: {exc}", file=sys.stderr)
         return 1
     finally:
-        if live_view is not None:
-            live_view.stop()
-        if metrics_server is not None:
-            metrics_server.stop()
         if args.log_out:
             from hfast.obs.logs import reset_logging
 
@@ -653,14 +516,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             f"expected {a['expected_s']:.3f}s ({a['ratio']}x)",
             file=sys.stderr,
         )
-
-    if slo_engine is not None:
-        from hfast.obs.slo import render_slo_lines
-
-        for line in render_slo_lines(out.get("slo") or []):
-            print(line, file=sys.stderr)
-    if args.history_dir:
-        print(f"history: {args.history_dir}", file=sys.stderr)
 
     cells = out["manifest"].get("cells") or []
     failed = [c for c in cells if not c["ok"]]
@@ -824,8 +679,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store=not args.no_store,
         bench_dir=args.bench_dir,
         store_max_bytes=args.store_max_bytes,
-        history_dir=args.history_dir,
-        slo_spec=args.slo,
         heartbeat_interval=args.heartbeat_interval,
     )
     return run_serve(config)
@@ -1001,109 +854,6 @@ def _cmd_apps(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs(args: argparse.Namespace) -> int:
-    # Lazy imports: post-mortem queries need none of the pipeline.
-    from hfast.obs import history as hist
-
-    if args.obs_command == "history":
-        if args.compact:
-            stats = hist.compact(args.history_dir, retain=args.retain, strict=args.strict)
-            if args.json:
-                print(json.dumps(stats, indent=2, sort_keys=True))
-            else:
-                print(
-                    f"compacted {stats['segments_before']} segment(s) -> "
-                    f"{stats['segments_after']}: {stats['snapshots']} snapshot(s) kept, "
-                    f"{stats['dropped']} dropped"
-                )
-            return 0
-        try:
-            snapshots = hist.read_history(args.history_dir, strict=args.strict)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(snapshots, indent=2, sort_keys=True))
-            return 0
-        for snap in snapshots:
-            meta = snap.get("meta") or {}
-            rows = len((snap.get("data") or {}).get("results") or [])
-            ts = meta.get("timestamp")
-            print(
-                f"{snap['key'][:12]}  {snap.get('kind', '?'):<8s} "
-                f"{str(meta.get('source') or '-'):<8s} rows={rows:<3d} "
-                f"ts={ts if ts is not None else '-'}"
-            )
-        print(f"{len(snapshots)} snapshot(s)")
-        return 0
-
-    if args.obs_command == "trend":
-        snapshots: list[dict] = []
-        try:
-            for d in args.history_dirs:
-                snapshots.extend(hist.read_history(d, strict=args.strict))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.bench:
-            snapshots.extend(hist.load_bench_snapshots(args.bench))
-        if args.quantiles:
-            rows = hist.trend_quantiles(snapshots, args.quantiles)
-            if args.json:
-                print(json.dumps(rows, indent=2, sort_keys=True))
-                return 0
-            for r in rows:
-                qs = " ".join(
-                    f"{k}={r[k]:g}" for k in sorted(r) if k.startswith("p") and r[k] is not None
-                )
-                print(f"{r['key']}  n={r['count']:<8d} {qs}")
-            return 0
-        rows = hist.trend_rows(snapshots, app=args.app, nranks=args.scale)
-        if args.json:
-            print(json.dumps(rows, indent=2, sort_keys=True))
-            return 0
-        sys.stdout.write(hist.render_trend(rows))
-        return 0
-
-    if args.obs_command == "slo":
-        from hfast.obs.slo import SloEngine, SloSpecError, load_slo_spec, render_slo_lines
-
-        try:
-            engine = SloEngine(load_slo_spec(args.spec))
-        except SloSpecError as exc:
-            for err in exc.errors:
-                print(f"error: {err}", file=sys.stderr)
-            return 2
-        snapshots = hist.read_history(args.history_dir, kinds=("run",))
-        statuses = engine.evaluate_runs(snapshots)
-        if args.json:
-            print(json.dumps(statuses, indent=2, sort_keys=True))
-        else:
-            for line in render_slo_lines(statuses):
-                print(line)
-        if args.strict and any(s.get("breached") for s in statuses):
-            return 1
-        return 0
-
-    if args.obs_command == "tail":
-        from hfast.obs.logs import read_log_records
-
-        try:
-            records = read_log_records(args.path, level=args.level)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.event:
-            records = [r for r in records if r.get("event") == args.event]
-        if args.n is not None:
-            records = records[-max(0, args.n):]
-        for rec in records:
-            print(json.dumps(rec, sort_keys=True))
-        return 0
-
-    return 2
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser().parse_args(argv)
@@ -1121,8 +871,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_calibrate(args)
     if args.command == "apps":
         return _cmd_apps(args)
-    if args.command == "obs":
-        return _cmd_obs(args)
     return 2
 
 

@@ -267,8 +267,6 @@ def run_search(
             "store": store,
             "timing_seed": spec.timing_seed,
             "profiled": obs.enabled,
-            "live": False,
-            "ctx": None,
         }
 
     def merge_one(res: dict[str, Any]) -> None:

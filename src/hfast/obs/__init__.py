@@ -32,7 +32,6 @@ from hfast.obs.analytics import (
 )
 from hfast.obs.anomaly import AnomalyDetector
 from hfast.obs.flame import folded_stacks, speedscope_doc
-from hfast.obs.live import LiveView
 from hfast.obs.manifest import build_manifest, git_sha
 from hfast.obs.metrics import (
     Counter,
@@ -50,14 +49,13 @@ from hfast.obs.profile import (
     using,
 )
 from hfast.obs.prom import (
-    MetricsServer,
     parse_prometheus,
     prometheus_projection,
     render_prometheus,
-    render_registry,
+    render_registries,
 )
 from hfast.obs.report import build_report, render_markdown, write_report
-from hfast.obs.stream import EventBus, StreamForwardSink
+from hfast.obs.stream import EventBus
 from hfast.obs.trace import (
     JsonlSink,
     ListSink,
@@ -76,14 +74,11 @@ __all__ = [
     "Histogram",
     "JsonlSink",
     "ListSink",
-    "LiveView",
     "MetricsRegistry",
-    "MetricsServer",
     "NullSink",
     "Observability",
     "SpanNode",
     "SpanTracer",
-    "StreamForwardSink",
     "TeeSink",
     "TraceError",
     "TraceTree",
@@ -108,7 +103,7 @@ __all__ = [
     "render_gantt",
     "render_markdown",
     "render_prometheus",
-    "render_registry",
+    "render_registries",
     "speedscope_doc",
     "stage_rollup",
     "summarize",

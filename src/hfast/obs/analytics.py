@@ -9,7 +9,8 @@ the paper's methodology actually needs on top of it:
   truncated final line — exactly what a crash mid-write leaves behind —
   is warned about and skipped, never fatal.
 - :class:`TraceTree` — spans linked into a tree, plus the non-span
-  events (manifest, ``cell_timing``, anomalies) analytics cares about.
+  events (manifest, ``cell_timing``, ``sched_task``, anomalies) analytics
+  cares about.
   Orphaned spans (their parent never made it to disk) are promoted to
   roots rather than dropped.
 - :func:`critical_path` — the heaviest root-to-leaf chain. Weighted by

@@ -1,9 +1,7 @@
 """Online straggler and regression detection for pipeline cells.
 
 The paper's methodology depends on spotting the cells that dominate a
-sweep; ExaNeSt-style prototype evaluation leans on live per-link
-counters to find stragglers while the run is still going. This module
-scores each cell's elapsed wall time two ways:
+sweep. This module scores each cell's elapsed wall time two ways:
 
 - **Straggler** — against the scheduler's analytic cost model
   (:func:`hfast.sched.cost.estimate_cell_cost`). Analytic costs are
@@ -20,8 +18,8 @@ scores each cell's elapsed wall time two ways:
 
 Scoring happens at merge time in cell-definition order, so the emitted
 ``anomaly`` trace events are deterministic for a given set of wall
-times; the live path additionally calls :meth:`AnomalyDetector.check_running`
-against cells still in flight. Anomaly events are wall-clock-derived by
+times; the ``--mitigate`` scheduler loop additionally calls
+:meth:`AnomalyDetector.check_running` against cells still in flight. Anomaly events are wall-clock-derived by
 construction and are excluded (like ``wall_s`` itself) from the
 byte-identity determinism contract.
 """
@@ -158,11 +156,11 @@ class AnomalyDetector:
         return anomalies
 
     def check_running(self, app: str, nranks: int, elapsed_s: float) -> dict[str, Any] | None:
-        """Live-only advisory: is an in-flight cell already overdue?
+        """In-flight advisory: is a still-running cell already overdue?
 
         Same rule as the straggler score but against elapsed (not final)
-        wall time; does not touch the online fit. Used by the ``--live``
-        view to flag stragglers before they finish.
+        wall time; does not touch the online fit. The ``--mitigate``
+        policy uses it to act on stragglers before they finish.
         """
         expected = self.expected(app, nranks)
         if (

@@ -1,7 +1,7 @@
 """Structured JSON logging with run/span/job correlation IDs.
 
-The run-time surfaces (the work-stealing scheduler, the serve daemon,
-the ``--live`` status view) historically narrated themselves with ad-hoc
+The run-time surfaces (the pipeline, the work-stealing scheduler, the
+serve daemon) historically narrated themselves with ad-hoc
 ``print(..., file=sys.stderr)`` lines — readable, but impossible to
 correlate with the JSONL trace after the fact. This module gives them a
 shared structured channel:
@@ -21,7 +21,7 @@ shared structured channel:
   process-wide root; :func:`get_logger` hands out bound children. When
   nothing configured logging, :func:`get_logger` returns a shared
   disabled logger whose methods are no-ops — instrumented call sites in
-  the scheduler and live view cost one attribute check in the common
+  the pipeline and scheduler cost one attribute check in the common
   (unconfigured) case, and existing stderr output is untouched.
 - :func:`read_log_records` — the tolerant reader: walks rotated
   siblings oldest-first, skips blank/malformed lines (a crash can

@@ -8,18 +8,15 @@ edges — bucket counts just need cumulation since the registry stores
 per-bucket (non-cumulative) counts. ``min``/``max`` have no native
 Prometheus histogram series, so they export as companion gauges.
 
-:class:`MetricsServer` serves ``/metrics`` from a daemon thread during a
-run (``--metrics-port``). It scrapes a *live* registry that worker merges
-mutate concurrently, so rendering retries on dictionary-changed-size
-races rather than locking the hot path.
+:func:`render_registries` renders the serve daemon's ``/metrics``. It
+reads registries that job threads merge into concurrently, so it retries
+on dictionary-changed-size races rather than locking the hot path.
 """
 
 from __future__ import annotations
 
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable
+from typing import Any
 
 from hfast.obs.metrics import MetricsRegistry
 
@@ -41,35 +38,6 @@ def _fmt(value: Any) -> str:
     if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value) if isinstance(value, float) else str(value)
-
-
-def escape_label_value(value: str) -> str:
-    """Escape a label value per the text exposition format.
-
-    Backslash, double quote, and newline are the three characters the
-    format requires escaping inside ``label="..."``.
-    """
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _unescape_label_value(value: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            out.append({"n": "\n", '"': '"', "\\": "\\"}.get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
-def _labelblock(labels: dict[str, str]) -> str:
-    inner = ",".join(f'{k}="{escape_label_value(str(v))}"' for k, v in sorted(labels.items()))
-    return "{" + inner + "}"
 
 
 def render_prometheus(snapshot: dict[str, Any]) -> str:
@@ -102,16 +70,6 @@ def render_prometheus(snapshot: dict[str, Any]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def render_registry(registry: MetricsRegistry) -> str:
-    """Render a live registry, retrying if a concurrent merge mutates it."""
-    for _ in range(8):
-        try:
-            return render_prometheus(registry.to_dict())
-        except RuntimeError:  # dict changed size during iteration
-            continue
-    return render_prometheus(dict(registry.to_dict()))
-
-
 def render_registries(*registries: MetricsRegistry) -> str:
     """One exposition document over several live registries.
 
@@ -120,8 +78,8 @@ def render_registries(*registries: MetricsRegistry) -> str:
     metrics in another; a scrape must see both. Later registries win on
     name collisions — after :func:`prom_name` sanitization two distinct
     raw names can land on the same exposition name, and one series per
-    name is a format invariant. Snapshots are taken with the same
-    concurrent-mutation retry as :func:`render_registry`.
+    name is a format invariant. Each snapshot is retried if a concurrent
+    merge mutates the registry mid-read.
     """
     merged: dict[str, Any] = {}
     for registry in registries:
@@ -137,78 +95,23 @@ def render_registries(*registries: MetricsRegistry) -> str:
 
 
 # ---------------------------------------------------------------------------
-# SLO series: labeled gauge families over the engine's status docs.
-
-
-def render_slo_prometheus(statuses: list[dict[str, Any]]) -> str:
-    """Render SLO engine statuses as labeled ``hfast_slo_*`` families.
-
-    Per-window burn rates carry ``{slo, window}`` labels; breach state
-    and remaining error budget carry ``{slo}``. Label values pass
-    through :func:`escape_label_value`, so SLO names are unrestricted.
-    """
-    if not statuses:
-        return ""
-    lines: list[str] = []
-    lines.append(f"# TYPE {PROM_PREFIX}slo_burn_rate gauge")
-    for s in sorted(statuses, key=lambda s: str(s.get("slo"))):
-        for w in s.get("windows") or []:
-            block = _labelblock({"slo": str(s["slo"]), "window": str(w.get("name", "run"))})
-            lines.append(f"{PROM_PREFIX}slo_burn_rate{block} {_fmt(float(w['burn']))}")
-    lines.append(f"# TYPE {PROM_PREFIX}slo_breached gauge")
-    for s in sorted(statuses, key=lambda s: str(s.get("slo"))):
-        block = _labelblock({"slo": str(s["slo"])})
-        lines.append(f"{PROM_PREFIX}slo_breached{block} {1 if s.get('breached') else 0}")
-    lines.append(f"# TYPE {PROM_PREFIX}slo_error_budget_remaining gauge")
-    for s in sorted(statuses, key=lambda s: str(s.get("slo"))):
-        block = _labelblock({"slo": str(s["slo"])})
-        lines.append(
-            f"{PROM_PREFIX}slo_error_budget_remaining{block} "
-            f"{_fmt(float(s.get('budget_remaining', 0.0)))}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def slo_prometheus_projection(statuses: list[dict[str, Any]]) -> dict[str, Any]:
-    """What :func:`parse_prometheus` should see after a render round-trip."""
-    if not statuses:
-        return {}
-    burn: dict[str, float] = {}
-    breached: dict[str, float] = {}
-    budget: dict[str, float] = {}
-    for s in statuses:
-        sblock = _labelblock({"slo": str(s["slo"])})
-        breached[sblock] = 1.0 if s.get("breached") else 0.0
-        budget[sblock] = float(s.get("budget_remaining", 0.0))
-        for w in s.get("windows") or []:
-            block = _labelblock({"slo": str(s["slo"]), "window": str(w.get("name", "run"))})
-            burn[block] = float(w["burn"])
-    return {
-        f"{PROM_PREFIX}slo_burn_rate": {"type": "gauge", "samples": burn},
-        f"{PROM_PREFIX}slo_breached": {"type": "gauge", "samples": breached},
-        f"{PROM_PREFIX}slo_error_budget_remaining": {"type": "gauge", "samples": budget},
-    }
-
-
-# ---------------------------------------------------------------------------
 # Parse side: enough of the exposition format to round-trip our own output.
 
-_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+# A sample line: name, an optional histogram-bucket ``le`` label, value.
+_SAMPLE_RE = re.compile(r'^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{le="([^"]*)"\})?\s+(\S+)$')
 
 
 def parse_prometheus(text: str) -> dict[str, Any]:
     """Parse exposition text back into ``{name: {type, ...}}`` structures.
 
-    Supports exactly the subset the renderers emit; used by tests and
-    the CI smoke scrape to prove the exposition is well-formed and
-    lossless for counters/gauges, histogram count/sum/buckets, and the
-    labeled SLO families (label values unescape per the format, so a
-    ``slo="a\\"b"`` sample parses back to its original name). Unlabeled
-    counters/gauges parse to ``{"type", "value"}``; labeled families to
-    ``{"type", "samples": {canonical-labelblock: value}}``.
+    Supports exactly the subset :func:`render_prometheus` emits, and is
+    used by tests and the serve smoke scrape to prove the exposition is
+    well-formed and lossless: counters/gauges parse to ``{"type",
+    "value"}``, histograms to their count, sum and per-bucket counts.
+    The only label the renderer writes is a histogram bucket's ``le``.
     """
     types: dict[str, str] = {}
-    samples: dict[str, list[tuple[dict[str, str], float]]] = {}
+    samples: dict[str, list[tuple[str | None, float]]] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -218,34 +121,22 @@ def parse_prometheus(text: str) -> dict[str, Any]:
             if len(parts) >= 4 and parts[1] == "TYPE":
                 types[parts[2]] = parts[3]
             continue
-        m = re.match(r'^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{.*\})?\s+(\S+)$', line)
+        m = _SAMPLE_RE.match(line)
         if not m:
             raise ValueError(f"unparseable exposition line: {raw!r}")
-        name, labelblock, value = m.groups()
-        labels: dict[str, str] = {}
-        if labelblock:
-            for lm in _LABEL_RE.finditer(labelblock):
-                labels[lm.group(1)] = _unescape_label_value(lm.group(2))
-        samples.setdefault(name, []).append((labels, float(value)))
+        name, le, value = m.groups()
+        samples.setdefault(name, []).append((le, float(value)))
 
     out: dict[str, Any] = {}
     for name, kind in types.items():
         if kind in ("counter", "gauge"):
-            series = samples.get(name, [])
-            if not series:
-                continue
-            if len(series) == 1 and not series[0][0]:
-                out[name] = {"type": kind, "value": series[0][1]}
-            else:
-                out[name] = {
-                    "type": kind,
-                    "samples": {_labelblock(labels): value for labels, value in series},
-                }
+            series = samples.get(name)
+            if series:
+                out[name] = {"type": kind, "value": series[-1][1]}
         elif kind == "histogram":
             buckets: dict[str, int] = {}
             prev = 0
-            for labels, value in samples.get(name + "_bucket", []):
-                le = labels.get("le", "")
+            for le, value in samples.get(name + "_bucket", []):
                 if le == "+Inf":
                     continue
                 count = int(value) - prev
@@ -291,75 +182,3 @@ def prometheus_projection(snapshot: dict[str, Any]) -> dict[str, Any]:
                 if d.get(agg) is not None:
                     out[f"{pname}_{agg}"] = {"type": "gauge", "value": float(d[agg])}
     return out
-
-
-# ---------------------------------------------------------------------------
-# /metrics HTTP server
-
-
-class MetricsServer:
-    """Background ``/metrics`` endpoint for scrape-during-run telemetry.
-
-    ``port=0`` binds an ephemeral port (tests); the bound port is
-    available as :attr:`port` after :meth:`start`. The handler calls
-    ``render_fn`` per scrape, so it always reflects the current registry.
-    """
-
-    def __init__(
-        self,
-        render_fn: Callable[[], str],
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
-        self._render = render_fn
-        self._host = host
-        self._requested_port = port
-        self._httpd: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
-        self.port: int | None = None
-
-    def start(self) -> "MetricsServer":
-        render = self._render
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 (http.server API)
-                if self.path.rstrip("/") not in ("", "/metrics"):
-                    self.send_error(404)
-                    return
-                try:
-                    body = render().encode("utf-8")
-                except Exception:
-                    self.send_error(500)
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args: Any) -> None:
-                pass  # scrapes must not pollute the run's stdout/stderr
-
-        self._httpd = ThreadingHTTPServer((self._host, self._requested_port), Handler)
-        self._httpd.daemon_threads = True
-        self.port = self._httpd.server_address[1]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="hfast-metrics-server",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self._host}:{self.port}/metrics"

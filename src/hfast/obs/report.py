@@ -12,24 +12,19 @@ from __future__ import annotations
 
 import json
 import os
-from collections import defaultdict
 from pathlib import Path
 from typing import Any
 
 from hfast.obs.analytics import TraceTree, attribution, critical_path, stage_rollup
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def bench_run_rows(runs: list[dict[str, Any]]) -> list[dict[str, Any]]:
     """Project per-app summaries onto the BENCH/perf-trajectory row shape.
 
-    Shared by the ``BENCH_*.json`` writer and the telemetry history
-    (:mod:`hfast.obs.history`): a history snapshot's ``data.results``
-    mirrors this exact projection, so trend queries read BENCH snapshots
-    and history segments through one row shape. Every field here is
-    deterministic (no wall clocks), which is what lets history keys be
-    content-addressed.
+    Every field here is deterministic (no wall clocks), so two BENCH
+    files of the same sweep carry identical ``runs`` rows.
     """
     return [
         {
@@ -49,14 +44,15 @@ def bench_run_rows(runs: list[dict[str, Any]]) -> list[dict[str, Any]]:
 
 
 def build_report(events: list[dict[str, Any]]) -> dict[str, Any]:
-    """Aggregate a JSONL event stream into the run-report document."""
+    """Aggregate a JSONL event stream into the run-report document.
+
+    Event kinds the report does not know (``cell_timing``, ``sched_*``,
+    or kinds older runs wrote) are ignored.
+    """
     manifest: dict[str, Any] | None = None
     runs: list[dict[str, Any]] = []
     anomalies: list[dict[str, Any]] = []
     frontiers: list[dict[str, Any]] = []
-    slo_statuses: list[dict[str, Any]] = []
-    stage_wall: dict[str, float] = defaultdict(float)
-    stage_calls: dict[str, int] = defaultdict(int)
     peak_rss = 0
 
     # Trace-tree bookkeeping (span_id/parent_id/depth) rides along on
@@ -73,24 +69,21 @@ def build_report(events: list[dict[str, Any]]) -> dict[str, Any]:
             anomalies.append({k: v for k, v in ev.items() if k not in structural})
         elif kind == "dse_frontier":
             frontiers.append({k: v for k, v in ev.items() if k not in structural})
-        elif kind == "slo_status":
-            slo_statuses.append({k: v for k, v in ev.items() if k not in structural})
         elif kind == "span":
-            stage_wall[ev["name"]] += ev.get("wall_s", 0.0)
-            stage_calls[ev["name"]] += 1
             peak_rss = max(peak_rss, ev.get("peak_rss_kb", 0))
 
-    total_wall = sum(w for name, w in stage_wall.items() if name == "pipeline") or sum(
-        stage_wall.values()
-    )
+    tree = TraceTree(events, warn=lambda _msg: None)
+    # One row per stage: inclusive wall (nested stages overlap) next to
+    # self time, which partitions the run, so pct_self sums to 100.
     stages = [
         {
-            "stage": name,
-            "calls": stage_calls[name],
-            "wall_s": round(wall, 6),
-            "pct": round(100.0 * wall / total_wall, 2) if total_wall else 0.0,
+            "stage": r["stage"],
+            "calls": r["calls"],
+            "wall_s": r["total_s"],
+            "self_s": r["self_s"],
+            "pct_self": r["pct_self"],
         }
-        for name, wall in sorted(stage_wall.items(), key=lambda kv: -kv[1])
+        for r in stage_rollup(tree)
     ]
     cells = list((manifest or {}).get("cells") or [])
     return {
@@ -102,26 +95,20 @@ def build_report(events: list[dict[str, Any]]) -> dict[str, Any]:
         # the full frontier artifact document, byte-identical across
         # scheduler backends by the DSE determinism contract.
         "frontiers": frontiers,
-        # SLO engine statuses (one slo_status event per declared SLO).
-        # Burn rates follow the anomaly detector's wall-derived verdicts,
-        # so like "anomalies" they sit outside the byte-identity contract
-        # under fault injection (clean runs always score burn 0).
-        "slo": slo_statuses,
         "profile": {
-            "total_wall_s": round(total_wall, 6),
+            "total_wall_s": round(sum(r.wall_s for r in tree.roots), 6),
             "peak_rss_kb": peak_rss,
             "stages": stages,
             "cells": cells,
         },
-        # Wall-clock-derived by construction (like wall_s/pct), so excluded
-        # from the byte-identity determinism contract alongside them.
-        "time_breakdown": _time_breakdown(events),
+        # Wall-clock-derived by construction (like the stage times), so
+        # excluded from the byte-identity determinism contract alongside them.
+        "time_breakdown": _time_breakdown(tree),
     }
 
 
-def _time_breakdown(events: list[dict[str, Any]]) -> dict[str, Any] | None:
-    """'Where the time went': critical path, self-time, scheduler share."""
-    tree = TraceTree(events, warn=lambda _msg: None)
+def _time_breakdown(tree: TraceTree) -> dict[str, Any] | None:
+    """'Where the time went': critical path and scheduler share."""
     if tree.empty:
         return None
     attr = attribution(tree)
@@ -130,7 +117,6 @@ def _time_breakdown(events: list[dict[str, Any]]) -> dict[str, Any] | None:
             {"label": e["label"], "wall_s": e["wall_s"], "self_s": e["self_s"]}
             for e in critical_path(tree)[:8]
         ],
-        "top_self_stages": stage_rollup(tree)[:8],
         "queue_wait_share": attr["queue_wait_share"] if attr else None,
         "utilization": attr["utilization"] if attr else None,
         "lanes": len(attr["lanes"]) if attr else None,
@@ -290,33 +276,6 @@ def render_markdown(report: dict[str, Any]) -> str:
                 )
             lines.append("")
 
-    slo_statuses = report.get("slo") or []
-    if slo_statuses:
-        lines.append("## SLO compliance")
-        lines.append("")
-        breached = [s for s in slo_statuses if s.get("breached")]
-        lines.append(
-            f"{len(slo_statuses)} SLO(s) evaluated, {len(breached)} breached."
-            if breached
-            else f"{len(slo_statuses)} SLO(s) evaluated, all within budget."
-        )
-        lines.append("")
-        lines.append("| SLO | kind | objective | burn | budget left | windows | status |")
-        lines.append("|---|---|---:|---:|---:|---|---|")
-        for s in slo_statuses:
-            windows = "; ".join(
-                f"{w.get('name', 'run')}[{w.get('last') or 'all'}] "
-                f"{w.get('burn', 0):g}/{w.get('max_burn', 0):g}"
-                for w in s.get("windows") or []
-            )
-            lines.append(
-                f"| {s.get('slo', '?')} | {s.get('kind', '?')} "
-                f"| {s.get('objective', 0):g} | {s.get('burn', 0):g} "
-                f"| {s.get('budget_remaining', 0):g} | {windows} "
-                f"| {'**BREACHED**' if s.get('breached') else 'ok'} |"
-            )
-        lines.append("")
-
     anomalies = report.get("anomalies") or []
     if anomalies:
         lines.append("## Anomalies")
@@ -356,18 +315,6 @@ def render_markdown(report: dict[str, Any]) -> str:
             for e in cp:
                 lines.append(f"| {e['label']} | {e['wall_s']:.4f} | {e['self_s']:.4f} |")
             lines.append("")
-        top = tb.get("top_self_stages") or []
-        if top:
-            lines.append("Top stages by self time:")
-            lines.append("")
-            lines.append("| stage | calls | self (s) | % of run |")
-            lines.append("|---|---:|---:|---:|")
-            for st in top:
-                lines.append(
-                    f"| {st['stage']} | {st['calls']} | {st['self_s']:.4f} "
-                    f"| {st['pct_self']:.1f} |"
-                )
-            lines.append("")
 
     prof = report.get("profile", {})
     stages = prof.get("stages", [])
@@ -379,11 +326,12 @@ def render_markdown(report: dict[str, Any]) -> str:
             f"peak RSS: {prof.get('peak_rss_kb', 0)} KiB"
         )
         lines.append("")
-        lines.append("| stage | calls | wall (s) | % |")
-        lines.append("|---|---:|---:|---:|")
+        lines.append("| stage | calls | wall (s) | self (s) | % self |")
+        lines.append("|---|---:|---:|---:|---:|")
         for st in stages:
             lines.append(
-                f"| {st['stage']} | {st['calls']} | {st['wall_s']:.4f} | {st['pct']:.1f} |"
+                f"| {st['stage']} | {st['calls']} | {st['wall_s']:.4f} "
+                f"| {st['self_s']:.4f} | {st['pct_self']:.1f} |"
             )
         lines.append("")
     cells = prof.get("cells", [])

@@ -68,8 +68,7 @@ class JsonlSink:
     Writes are buffered: emitting leaves the bytes in the stream's
     buffer, and ``flush()``/``close()`` push them out. A per-event flush
     costs a syscall per span — measurable on traces with thousands of
-    events — and the only consumer that needs bytes promptly (the live
-    streaming path) calls ``flush()`` itself.
+    events.
 
     ``max_bytes`` turns on size-based rollover for owned file targets:
     when the next event would push the file past the cap, the file

@@ -41,17 +41,15 @@ from hfast.apps import available_apps, synthesize
 from hfast.cache import DEFAULT_CACHE_DIR, CacheStats, ReproCache
 from hfast.interconnect import InterconnectConfig, evaluate_hybrid, evaluate_temporal
 from hfast.matrix import reduce_matrix
-from hfast.obs import stream
 from hfast.obs.anomaly import AnomalyDetector
 from hfast.obs.logs import get_logger
 from hfast.obs.manifest import build_manifest
 from hfast.obs.metrics import log2_bucket
 from hfast.obs.profile import Observability, get_obs, using
-from hfast.obs.slo import SloEngine, cells_for_slo
 from hfast.records import SEND_CALLS, Trace
 from hfast.sched.cost import CostModel
 from hfast.sched.faults import inject_slow
-from hfast.sched.journal import build_fingerprint, new_run_id
+from hfast.sched.journal import build_fingerprint
 from hfast.sched.mitigate import MitigationPolicy
 from hfast.sched.scheduler import cell_runner
 from hfast.timing import DEFAULT_TIMING_SEED, TimingModel
@@ -257,17 +255,10 @@ def execute_cell(payload: dict[str, Any]) -> dict[str, Any]:
     Builds a private cache handle and observability buffer, so everything
     the cell produced (summary, span/app_summary events, metrics, cache
     statistics) comes back as one picklable result the parent merges
-    deterministically. When the payload carries ``live=True`` and this
-    process has a registered stream channel, every event is *also*
-    forwarded live with trace context attached — annotated copies only,
-    so the buffered events (and therefore the merged trace) are identical
-    with and without streaming.
+    deterministically.
     """
-    forward = stream.forward_sink_for(payload)
-    obs = Observability(enabled=payload["profiled"], trace_sink=forward, keep_events=True)
+    obs = Observability(enabled=payload["profiled"], keep_events=True)
     cache = ReproCache(payload["cache_dir"], readonly=not payload["store"])
-    if forward is not None:
-        forward.emit({"event": "cell_start"})
     t0 = time.perf_counter()
     t_start = time.time()  # absolute stamp for post-hoc gantt/attribution
     ok, summary, error = True, None, None
@@ -410,15 +401,11 @@ def run_pipeline(
     run_id: str | None = None,
     service: dict[str, Any] | None = None,
     bench_dir: str | None = ".",
-    bus: "stream.EventBus | None" = None,
     anomaly: AnomalyDetector | None = None,
     anomaly_threshold: float | None = None,
     mitigate: bool = False,
-    slo: SloEngine | None = None,
-    history_dir: str | None = None,
-    history_source: str = "analyze",
 ) -> dict[str, Any]:
-    """Run the analysis matrix; returns {manifest, results, anomalies, slo}.
+    """Run the analysis matrix; returns ``{"manifest", "results", "anomalies"}``.
 
     ``shard=(i, m)`` restricts the run to every m-th cell starting at i.
     Failed cells are recorded in ``manifest["cells"]`` /
@@ -429,46 +416,30 @@ def run_pipeline(
     (``manifest["scheduler"]["backend"] == "serial"``). More workers or
     any of those inputs move the run onto the fault-tolerant
     work-stealing scheduler (``"stealing"``): cells are pulled
-    largest-estimated-cost-first, transient failures retry up to
-    ``max_retries`` times with exponential backoff, crashed or hung
+    largest-estimated-cost-first (cost model calibrated from the
+    ``BENCH_*.json`` files in ``bench_dir``), transient failures retry up
+    to ``max_retries`` times with exponential backoff, crashed or hung
     workers (``heartbeat_timeout``) have their cells re-dispatched, and
     progress is journaled so ``resume=<run-id>`` replays completed cells
-    instead of re-running them. Scheduler bookkeeping lands in ``manifest["scheduler"]``;
-    per-cell ``attempts`` in ``manifest["cells"]``.
+    instead of re-running them. Scheduler bookkeeping lands in
+    ``manifest["scheduler"]``; per-cell ``attempts`` in ``manifest["cells"]``.
 
-    ``bus`` turns on live telemetry: run/cell state transitions and every
-    worker event (with trace context attached) are published to the bus
-    as they happen. The stream is a strict side-channel — merged trace,
-    metrics, manifest, and report artifacts are identical with and
-    without it.
-
-    Completed cells are scored by an online straggler/regression detector
-    (``anomaly``, or a default calibrated from ``bench_dir`` and
-    ``anomaly_threshold``); flagged cells are emitted as ``anomaly``
-    trace events and returned under ``"anomalies"``.
+    Completed cells of a profiled run are scored by an online
+    straggler/regression detector (``anomaly``, or a default calibrated
+    from ``bench_dir`` and ``anomaly_threshold``); flagged cells are
+    emitted as ``anomaly`` trace events and returned under
+    ``"anomalies"``. ``mitigate=True`` closes the loop: in-flight cells
+    the detector flags as ``straggler_running`` are speculatively
+    re-dispatched and their app's queued siblings reprioritized. This
+    changes only scheduling order and wall time — results, cache, trace
+    invariants, and report content stay byte-identical to a
+    non-mitigated run.
 
     ``run_id`` pins the journal id instead of
     generating one — callers that must find the journal again after a
     crash (the serve daemon keys journals by job id) pass it here.
     ``service`` is provenance only: it lands in the manifest so a served
     artifact is traceable to its HTTP submission.
-
-    ``mitigate=True`` closes the loop: in-flight
-    cells the detector flags as ``straggler_running`` are speculatively
-    re-dispatched and their app's queued siblings reprioritized. This
-    changes only scheduling order and wall time — results, cache, trace
-    invariants, and report content stay byte-identical to a
-    non-mitigated run.
-
-    ``slo`` evaluates the engine's objectives once the matrix completes:
-    statuses are emitted as ``slo_status`` / ``slo_violation`` trace
-    events, recorded as ``slo.*`` registry instruments, and returned
-    under ``"slo"``. A breached spec also tightens the mitigation
-    policy's straggler threshold (advisory pressure) when ``mitigate``
-    is on. ``history_dir`` appends one content-addressed snapshot of the
-    run (results projection + deterministic metrics) to the persistent
-    telemetry history as the final step — a pure side channel that
-    touches no event, metric, or artifact the run produces.
     """
     obs = obs if obs is not None else get_obs()
     cache = ReproCache(cache_dir, readonly=not store)
@@ -488,10 +459,6 @@ def run_pipeline(
         run_id=run_id, mitigate=mitigate, max_retries=max_retries,
         heartbeat_timeout=heartbeat_timeout, retry_backoff=retry_backoff,
     )
-    backend = runner.info["backend"]
-    # An in-process live run gets a live-only identity, deliberately kept
-    # out of the manifest so live mode cannot perturb the artifacts.
-    run_id = runner.info.get("run_id") or (new_run_id() if bus is not None else None)
 
     manifest = build_manifest(
         apps, scales, argv=argv, workers=workers, shard=shard, scheduler=runner.info,
@@ -501,18 +468,18 @@ def run_pipeline(
 
     # Structured logging is a pure side channel (separate file, wall-clock
     # allowed): a no-op unless configure_logging() installed a sink.
-    log = get_logger(component="pipeline", run_id=run_id)
+    log = get_logger(component="pipeline", run_id=runner.info.get("run_id"))
     log.info(
-        "run_start", scheduler=backend, workers=workers,
+        "run_start", scheduler=runner.info["backend"], workers=workers,
         ncells=len(cells), apps=apps,
     )
 
     cost_model: CostModel | None = None
-    if runner.journal is not None or bus is not None:
+    if runner.journal is not None:
         cost_model = CostModel.from_bench_dir(bench_dir)
 
     detector = anomaly
-    if detector is None and (obs.enabled or bus is not None):
+    if detector is None and obs.enabled:
         kwargs = {"threshold": anomaly_threshold} if anomaly_threshold else {}
         detector = AnomalyDetector.from_bench_dir(bench_dir, **kwargs)
 
@@ -521,17 +488,7 @@ def run_pipeline(
     # is warmed in deterministic cell order at merge time.
     mitigator: MitigationPolicy | None = None
     if mitigate:
-        # SLO advisory pressure: a spec's mitigation_threshold can tighten
-        # (never slacken) the straggler ratio the policy acts on.
-        mitigation_threshold = anomaly_threshold
-        slo_threshold = slo.mitigation_threshold() if slo is not None else None
-        if slo_threshold is not None:
-            mitigation_threshold = (
-                slo_threshold
-                if mitigation_threshold is None
-                else min(mitigation_threshold, slo_threshold)
-            )
-        mitigator = MitigationPolicy.from_bench_dir(bench_dir, threshold=mitigation_threshold)
+        mitigator = MitigationPolicy.from_bench_dir(bench_dir, threshold=anomaly_threshold)
 
     def payload_for(cell: Cell) -> dict[str, Any]:
         return {
@@ -543,12 +500,6 @@ def run_pipeline(
             "store": store,
             "timing_seed": timing_seed,
             "profiled": obs.enabled,
-            "live": bus is not None,
-            "ctx": (
-                {"run_id": run_id, "cell": cell.key, "index": cell.index}
-                if bus is not None
-                else None
-            ),
         }
 
     def report_for(res: dict[str, Any]) -> dict[str, Any]:
@@ -568,8 +519,6 @@ def run_pipeline(
             # attribution (queue-wait/utilization/gantt). Wall-clock-derived
             # by construction, hence outside the byte-identity contract —
             # the analytics layer reads it, the report builder ignores it.
-            # No "cell" key here: the live-stream tests pin that buffered
-            # events are never cell-context-stamped; app+nranks identify it.
             obs.tracer.emit_event(
                 "cell_timing",
                 {
@@ -610,8 +559,6 @@ def run_pipeline(
             for a in found:
                 anomalies.append(a)
                 obs.tracer.emit_event("anomaly", a)
-                if bus is not None:
-                    bus.publish({"event": "anomaly", **a})
 
     cell_reports: list[dict[str, Any]] = []
     results: list[dict[str, Any]] = []
@@ -621,32 +568,10 @@ def run_pipeline(
         "pipeline", napps=len(apps), ncells=len(cells), workers=workers
     ) as pipe_sp:
         root_id = getattr(pipe_sp, "span_id", None)
-        if bus is not None:
-            bus.publish(
-                {
-                    "event": "run_start",
-                    "run_id": run_id,
-                    "scheduler": backend,
-                    "workers": workers,
-                    "cells": [
-                        {
-                            "cell": c.key,
-                            "app": c.app,
-                            "nranks": c.nranks,
-                            "index": c.index,
-                            "est": cost_model.estimate(c.app, c.nranks)
-                            if cost_model is not None
-                            else None,
-                        }
-                        for c in cells
-                    ],
-                }
-            )
         # Cells come back in cell-definition order, whatever order they ran in.
         for res in runner.run(
             cells, lambda cell, attempt: payload_for(cell), execute_cell,
-            cost_model=cost_model, obs=obs,
-            on_event=bus.publish if bus is not None else None, mitigator=mitigator,
+            cost_model=cost_model, obs=obs, mitigator=mitigator,
         ):
             merge_one(res)
 
@@ -658,76 +583,10 @@ def run_pipeline(
     manifest["scheduler"] = runner.info
     obs.tracer.emit_event("manifest", manifest)
 
-    slo_statuses: list[dict[str, Any]] = []
-    if slo is not None:
-        slo_statuses = slo.evaluate(
-            cells=cells_for_slo(cell_reports, anomalies),
-            counts={
-                "cells_total": len(cell_reports),
-                "cells_failed": len(manifest["failed_cells"]),
-            },
-            metrics=obs.metrics.to_dict() if obs.enabled else {},
-        )
-        if obs.enabled:
-            slo.record(obs.metrics, slo_statuses)
-        for status in slo_statuses:
-            obs.tracer.emit_event("slo_status", status)
-            if status["breached"]:
-                obs.tracer.emit_event(
-                    "slo_violation",
-                    {
-                        "slo": status["slo"],
-                        "burn": status["burn"],
-                        "objective": status["objective"],
-                        "windows": status["windows"],
-                    },
-                )
-            if bus is not None:
-                bus.publish({"event": "slo_status", **status})
-            if status["breached"]:
-                log.warning(
-                    "slo_breached", slo=status["slo"], burn=status["burn"],
-                    objective=status["objective"],
-                )
-
-    if bus is not None:
-        bus.publish(
-            {
-                "event": "run_end",
-                "run_id": run_id,
-                "failed_cells": manifest["failed_cells"],
-                "anomalies": len(anomalies),
-            }
-        )
-
     log.info(
         "run_done",
         cells=len(cell_reports),
         failed=len(manifest["failed_cells"]),
         anomalies=len(anomalies),
     )
-
-    if history_dir is not None:
-        # Strictly last, and a pure side channel: nothing below touches
-        # events, metrics, or any artifact the run produced — analyze
-        # output is byte-identical history-on vs history-off.
-        from hfast.obs.history import HistoryStore, snapshot_from_run
-
-        with HistoryStore(history_dir) as hist:
-            hist.append(
-                snapshot_from_run(
-                    manifest,
-                    results,
-                    metrics_snapshot=obs.metrics.to_dict() if obs.enabled else {},
-                    source=history_source,
-                    anomalies=anomalies,
-                    slo_statuses=slo_statuses,
-                )
-            )
-
-    return {
-        "manifest": manifest,
-        "results": results,
-        "anomalies": anomalies,
-        "slo": slo_statuses,
-    }
+    return {"manifest": manifest, "results": results, "anomalies": anomalies}

@@ -13,10 +13,10 @@ Modules:
 - :mod:`hfast.sched.faults` — the fault-injection harness used by the
   chaos tests and CI (crash / hang / flaky, per cell, per attempt).
 - :mod:`hfast.sched.journal` — append-only JSONL run journal; completed
-  cells replay from it on resume, byte-identical to a live run.
-- :mod:`hfast.sched.mitigate` — closed-loop straggler mitigation: live
-  anomaly advisories become speculative re-dispatch / reprioritization
-  hints for the scheduler (``--mitigate``).
+  cells replay from it on resume, byte-identical to an uninterrupted run.
+- :mod:`hfast.sched.mitigate` — closed-loop straggler mitigation:
+  in-flight anomaly advisories become speculative re-dispatch /
+  reprioritization hints for the scheduler (``--mitigate``).
 - :mod:`hfast.sched.scheduler` — the work-stealing executor itself, and
   :func:`cell_runner`, which decides whether a run's cells stay in the
   calling process or go through it.

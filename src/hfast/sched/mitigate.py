@@ -1,10 +1,8 @@
 """Closed-loop straggler mitigation for the work-stealing scheduler.
 
-This is the repo's answer to the ROADMAP item "close the observability
-loop": the online :class:`~hfast.obs.anomaly.AnomalyDetector` that
-previously only *flagged* in-flight stragglers (``straggler_running``
-advisories in the ``--live`` view) now feeds those advisories back into
-the scheduler as actions, gated behind ``--mitigate``:
+The online :class:`~hfast.obs.anomaly.AnomalyDetector`'s in-flight
+``straggler_running`` advisories are fed back into the scheduler as
+actions, gated behind ``--mitigate``:
 
 - **Speculative re-dispatch** — a flagged in-flight cell is duplicated
   onto an idle (or newly spawned) worker; whichever attempt finishes

@@ -44,9 +44,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-from hfast.obs import stream
 from hfast.obs.logs import get_logger
 from hfast.obs.profile import Observability
 from hfast.sched.cost import CostModel
@@ -107,7 +106,6 @@ def _run_task(task: dict[str, Any], execute_fn: Callable, wedge: threading.Event
 
 
 def _worker_main(
-    worker_id: int,
     conn: Any,
     execute_fn: Callable,
     beat_interval: float,
@@ -123,11 +121,6 @@ def _worker_main(
                 conn.send(msg)
             except (BrokenPipeError, OSError):
                 pass
-
-    # Live telemetry rides the same duplex pipe as ("ev", event) messages.
-    # Registration is unconditional; the forwarder only engages for payloads
-    # that carry live=True, so non-live runs never send an "ev".
-    stream.set_worker_channel(lambda ev: send(("ev", ev)), worker_id=worker_id)
 
     def beat() -> None:
         while not wedge.is_set():
@@ -196,7 +189,6 @@ def run_stealing(
     cost_model: CostModel | None = None,
     obs: Observability | None = None,
     journal: RunJournal | None = None,
-    on_event: Callable[[dict[str, Any]], None] | None = None,
     mitigator: Any = None,
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Run cells under the work-stealing scheduler.
@@ -206,12 +198,6 @@ def run_stealing(
     and ``stats`` is the scheduler bookkeeping destined for the run
     manifest. Every result carries ``attempts``; failed cells have
     ``ok=False`` after exhausting their retries.
-
-    ``on_event`` receives live telemetry as it happens: scheduling
-    transitions (``cell_state``/``worker_lost``/``heartbeat``) plus
-    every ``("ev", ...)`` message a worker forwards over its pipe. It is
-    a pure side-channel — exceptions are swallowed, and nothing it sees
-    feeds back into results or stats.
 
     ``mitigator`` (a :class:`hfast.sched.mitigate.MitigationPolicy`)
     closes the observability loop: every poll tick the busy cells are
@@ -225,16 +211,9 @@ def run_stealing(
     """
     cost_model = cost_model or CostModel()
     # Ambient structured log: a no-op unless the process configured one
-    # (hfast analyze --log-out, the serve daemon); correlation ids let a
-    # reader join these records against the trace.
+    # (hfast analyze --log-out); correlation ids let a reader join these
+    # records against the trace.
     log = get_logger(component="sched", run_id=journal.run_id if journal is not None else None)
-
-    def emit_live(event: dict[str, Any]) -> None:
-        if on_event is not None:
-            try:
-                on_event(event)
-            except Exception:
-                pass
     stats: dict[str, Any] = {
         "backend": "stealing",
         "workers": config.workers,
@@ -286,7 +265,7 @@ def run_stealing(
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         proc = ctx.Process(
             target=_worker_main,
-            args=(worker_id, child_conn, execute_fn, config.beat_interval),
+            args=(child_conn, execute_fn, config.beat_interval),
             daemon=True,
             name=f"hfast-sched-{worker_id}",
         )
@@ -309,24 +288,13 @@ def run_stealing(
             heapq.heappush(pending, (neg_cost, index, cell))
             attempts[index] -= 1
             return False
-        stolen = slot.had_task
-        if stolen:
+        if slot.had_task:
             stats["steals"] += 1
         slot.had_task = True
         slot.busy = (index, cell)
         slot.busy_since = time.monotonic()
         slot.last_beat = time.monotonic()
         stats["tasks_dispatched"] += 1
-        emit_live(
-            {
-                "event": "cell_state",
-                "state": "running",
-                "cell": f"{cell.app}_p{cell.nranks}",
-                "worker": slot.worker_id,
-                "attempt": attempts[index],
-                "stolen": stolen,
-            }
-        )
         return True
 
     def retire(slot: _WorkerSlot) -> None:
@@ -397,16 +365,6 @@ def run_stealing(
                 attempt=n_attempts,
                 error=result.get("error"),
             )
-            emit_live(
-                {
-                    "event": "cell_state",
-                    "state": "retry",
-                    "cell": key,
-                    "worker": slot.worker_id,
-                    "attempt": n_attempts,
-                    "error": result.get("error"),
-                }
-            )
         else:
             result = dict(result)
             result["attempts"] = n_attempts
@@ -429,16 +387,6 @@ def run_stealing(
                         if mitigator is not None:
                             mitigator.stats["speculation_losses"] += 1
                         retire(other)
-            emit_live(
-                {
-                    "event": "cell_state",
-                    "state": "done" if result.get("ok") else "failed",
-                    "cell": key,
-                    "worker": slot.worker_id,
-                    "attempt": n_attempts,
-                    "wall_s": result.get("wall_s"),
-                }
-            )
         if obs is not None and obs.enabled:
             obs.metrics.counter("sched.tasks_finished").inc()
             obs.tracer.emit_event(
@@ -459,14 +407,6 @@ def run_stealing(
             worker=slot.worker_id,
             cell=f"{slot.busy[1].app}_p{slot.busy[1].nranks}" if slot.busy else None,
             reason=reason,
-        )
-        emit_live(
-            {
-                "event": "worker_lost",
-                "worker": slot.worker_id,
-                "cell": f"{slot.busy[1].app}_p{slot.busy[1].nranks}" if slot.busy else None,
-                "reason": reason,
-            }
         )
         if slot.busy is not None:
             index, cell = slot.busy
@@ -543,21 +483,8 @@ def run_stealing(
                     except (EOFError, OSError):
                         break  # liveness check below reaps the worker
                     kind = msg[0]
-                    if kind == "beat":
+                    if kind in ("beat", "started"):
                         slot.last_beat = time.monotonic()
-                        if on_event is not None:
-                            busy = slot.busy
-                            emit_live(
-                                {
-                                    "event": "heartbeat",
-                                    "worker": slot.worker_id,
-                                    "cell": f"{busy[1].app}_p{busy[1].nranks}" if busy else None,
-                                }
-                            )
-                    elif kind == "started":
-                        slot.last_beat = time.monotonic()
-                    elif kind == "ev":
-                        emit_live(msg[1])
                     elif kind == "result":
                         handle_finished(slot, msg[1], msg[2])
 
@@ -572,16 +499,6 @@ def run_stealing(
                     adv = mitigator.advise(cell.app, cell.nranks, now - slot.busy_since)
                     if adv is None:
                         continue
-                    emit_live(
-                        {
-                            "event": "mitigation",
-                            "action": "speculate",
-                            "cell": f"{cell.app}_p{cell.nranks}",
-                            "worker": slot.worker_id,
-                            "elapsed_s": round(now - slot.busy_since, 6),
-                            "expected_s": adv.get("expected_s"),
-                        }
-                    )
                     if mitigator.should_reweight(cell.app):
                         # Queued siblings of the flagged app jump the queue by
                         # the observed overrun, so the slow family overlaps
@@ -616,17 +533,6 @@ def run_stealing(
                     target.last_beat = time.monotonic()
                     stats["tasks_dispatched"] += 1
                     mitigator.stats["speculative_dispatches"] += 1
-                    emit_live(
-                        {
-                            "event": "cell_state",
-                            "state": "running",
-                            "cell": f"{cell.app}_p{cell.nranks}",
-                            "worker": target.worker_id,
-                            "attempt": attempts[index],
-                            "stolen": False,
-                            "speculative": True,
-                        }
-                    )
 
             now = time.monotonic()
             for slot in list(slots.values()):
@@ -706,21 +612,18 @@ class CellRunner:
         execute_fn: Callable[[dict[str, Any]], dict[str, Any]],
         cost_model: CostModel | None = None,
         obs: Observability | None = None,
-        on_event: Callable[[dict[str, Any]], None] | None = None,
         mitigator: Any = None,
     ) -> Iterable[dict[str, Any]]:
         """Run one batch; one raw result per cell, in cell order.
 
         In process, each result is yielded as soon as its cell finishes,
-        so the caller merges it before the next cell starts. ``on_event``
-        gets the same live ``cell_state`` and forwarded worker events on
-        both paths.
+        so the caller merges it before the next cell starts.
         """
         if self.journal is None:
-            return _run_in_process(cells, make_payload, execute_fn, on_event)
+            return (execute_fn(make_payload(cell, 1)) for cell in cells)
         results, stats = run_stealing(
             cells, make_payload, execute_fn, self.config, cost_model=cost_model,
-            obs=obs, journal=self.journal, on_event=on_event, mitigator=mitigator,
+            obs=obs, journal=self.journal, mitigator=mitigator,
         )
         for key, value in stats.items():
             if key in _SUM_STATS:
@@ -731,30 +634,6 @@ class CellRunner:
                 self.info[key] = value
         self.info["journal"] = str(self.journal.path)
         return results
-
-
-def _run_in_process(
-    cells: Sequence[Any],
-    make_payload: Callable[[Any, int], dict[str, Any]],
-    execute_fn: Callable[[dict[str, Any]], dict[str, Any]],
-    on_event: Callable[[dict[str, Any]], None] | None,
-) -> Iterator[dict[str, Any]]:
-    if on_event is not None:
-        stream.set_worker_channel(on_event, worker_id=0)
-    try:
-        for cell in cells:
-            state = {"event": "cell_state", "cell": f"{cell.app}_p{cell.nranks}",
-                     "worker": 0, "attempt": 1}
-            if on_event is not None:
-                on_event({**state, "state": "running", "stolen": False})
-            res = execute_fn(make_payload(cell, 1))
-            if on_event is not None:
-                on_event({**state, "state": "done" if res["ok"] else "failed",
-                          "wall_s": res["wall_s"]})
-            yield res
-    finally:
-        if on_event is not None:
-            stream.clear_worker_channel()
 
 
 def cell_runner(

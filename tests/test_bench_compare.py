@@ -25,7 +25,7 @@ def write_bench(path: Path, stages: dict[str, float], sha="abc", stamp=None,
         "workers": workers,
         "profile": {
             "stages": [
-                {"stage": name, "calls": 1, "wall_s": wall, "pct": 0.0}
+                {"stage": name, "calls": 1, "wall_s": wall, "self_s": wall, "pct_self": 0.0}
                 for name, wall in stages.items()
             ]
         },
@@ -201,57 +201,3 @@ def test_record_written_on_skip_paths(tmp_path, capsys):
     cand = write_bench(tmp_path / "BENCH_b.json", {"pipeline": 1.0}, workers=4)
     assert bench_compare.main([str(base), str(cand), "--record", str(record)]) == 0
     assert "worker mismatch" in json.loads(record.read_text())["skipped"]
-
-
-def test_snapshot_dir_archives_candidate_with_provenance(tmp_path):
-    base = write_bench(tmp_path / "BENCH_a.json", {"pipeline": 1.0}, sha="aaa")
-    cand = write_bench(tmp_path / "BENCH_b.json", {"pipeline": 1.05}, sha="bbb",
-                       stamp="2026-03-01T00:00:00", workers=2)
-    snapdir = tmp_path / "trajectory"
-    assert bench_compare.main([
-        str(base), str(cand), "--snapshot-dir", str(snapdir), "--label", "ci-test",
-    ]) == 0
-    (archived,) = list(snapdir.glob("BENCH_*.json"))
-    assert archived.name == "BENCH_b.json"  # keeps the content-hash name
-    doc = json.loads(archived.read_text())
-    assert doc["record"] == {
-        "label": "ci-test",
-        "source": str(cand),
-        "git_sha": "bbb",
-        "timestamp": "2026-03-01T00:00:00",
-        "workers": 2,
-    }
-    # The archived copy must stay ingestible by the history layer.
-    from hfast.obs.history import load_bench_snapshots  # noqa: PLC0415
-
-    write_bench(cand, {"pipeline": 1.05}, sha="bbb", stamp="2026-03-01T00:00:00",
-                workers=2)
-    doc2 = json.loads(cand.read_text())
-    doc2["runs"] = [{"app": "gtc", "nranks": 8, "total_bytes": 1}]
-    cand.write_text(json.dumps(doc2))
-    assert bench_compare.main([
-        str(base), str(cand), "--snapshot-dir", str(snapdir), "--label", "ci-test",
-    ]) == 0
-    snaps = load_bench_snapshots(snapdir)
-    assert len(snaps) == 1 and snaps[0]["data"]["results"][0]["app"] == "gtc"
-
-
-def test_snapshot_name_collision_gets_content_suffix(tmp_path):
-    snapdir = tmp_path / "trajectory"
-    for i, wall in enumerate((1.0, 2.0)):
-        cand = write_bench(tmp_path / "BENCH_same.json", {"pipeline": wall})
-        assert bench_compare.main([
-            str(cand), "--snapshot-dir", str(snapdir),
-        ]) == 0
-    names = sorted(p.name for p in snapdir.glob("*.json"))
-    assert len(names) == 2 and "BENCH_same.json" in names
-    assert any(n.startswith("BENCH_same-") for n in names), names
-
-
-def test_single_path_mode_still_archives(tmp_path, capsys):
-    cand = write_bench(tmp_path / "BENCH_only.json", {"pipeline": 1.0})
-    snapdir = tmp_path / "trajectory"
-    assert bench_compare.main([str(cand), "", "--snapshot-dir", str(snapdir)]) == 0
-    out = capsys.readouterr().out
-    assert "no baseline" in out and "snapshot archived" in out
-    assert list(snapdir.glob("BENCH_only.json"))

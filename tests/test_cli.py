@@ -107,14 +107,28 @@ def test_apps_listing(seed_cache, capsys):
         ["analyze", "--scheduler", "stealing"],
         ["search", "--app", "gtc", "--scale", "8", "--scheduler", "stealing"],
         ["serve", "--job-scheduler", "static"],
+        ["analyze", "--live"],
+        ["analyze", "--metrics-port", "0"],
+        ["analyze", "--slo", "default"],
+        ["analyze", "--history-dir", "h"],
+        ["serve", "--history-dir", "h"],
+        ["serve", "--slo", "default"],
+        ["obs", "history", "h"],
     ],
     ids=[
         "analyze-matcher", "analyze-backend", "search-matchers", "search-backend",
         "analyze-scheduler", "search-scheduler", "serve-job-scheduler",
+        "analyze-live", "analyze-metrics-port", "analyze-slo", "analyze-history-dir",
+        "serve-history-dir", "serve-slo", "obs-subcommand",
     ],
 )
 def test_removed_implementation_flags_are_argparse_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if argv[0] == "obs":
+        assert "invalid choice: 'obs'" in err
+    else:
+        flag = [a for a in argv if a.startswith("--")][-1]
+        assert f"unrecognized arguments: {flag}" in err

@@ -10,18 +10,80 @@ Two acceptance bars from the issue:
    unmitigated one, because the duplicate attempt escapes the fault.
 """
 
+import hashlib
 import time
 
+from hfast.obs.profile import Observability
+from hfast.obs.report import build_report
 from hfast.pipeline import run_pipeline
 from hfast.sched import faults
 from hfast.sched.faults import FAULT_ENV_VAR
 from hfast.sched.mitigate import MitigationPolicy
-from test_live_determinism import assert_identical, run_sweep
+from test_fault_injection import SCHED_FIELDS, comparable
+from test_parallel_determinism import normalize
+
+APPS = ["cactus", "gtc", "lbmhd", "paratec"]
+SCALES = {app: [8] for app in APPS}
+
+# Event kinds that are wall-clock-derived by construction and therefore
+# excluded (like wall_s itself) from the byte-identity contract.
+CLOCK_EVENTS = {"sched_task", "sched_worker", "anomaly", "cell_timing"}
+
+# Per-span attempt tags are scheduler bookkeeping, like the cell-level
+# "attempts" count the fault-injection tests already scrub.
+SCRUB_FIELDS = SCHED_FIELDS | {"attempt"}
 
 # At p8, cactus has the largest analytic cost, so the stealing scheduler
 # dispatches it first — slowing it leaves the other three cells free to
 # warm the online fit before the advisory check can fire.
 SLOW_CELL = "cactus_p8"
+
+
+
+
+def scrub(node):
+    if isinstance(node, dict):
+        return {k: scrub(v) for k, v in node.items() if k not in SCRUB_FIELDS}
+    if isinstance(node, list):
+        return [scrub(v) for v in node]
+    return node
+
+
+def run_sweep(cache_dir, **kwargs):
+    """One profiled sweep, reduced to its timing-free comparable parts."""
+    obs = Observability(enabled=True)
+    out = run_pipeline(
+        apps=APPS, scales=SCALES, cache_dir=str(cache_dir), obs=obs,
+        argv=["test"], bench_dir=None, **kwargs,
+    )
+    out["trace"] = [
+        scrub(normalize(ev, strip_paths=True))
+        for ev in obs.events
+        if ev.get("event") not in CLOCK_EVENTS
+    ]
+    out["metrics"] = {
+        k: v for k, v in obs.metrics.to_dict().items() if not k.startswith("sched.")
+    }
+    out["report"] = build_report(obs.events)
+    return out
+
+
+def cache_digests(cache_dir):
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(cache_dir.glob("*.json"))
+    }
+
+
+def assert_identical(a, b, dir_a, dir_b):
+    assert a["results"] == b["results"]
+    assert a["trace"] == b["trace"]
+    assert a["metrics"] == b["metrics"]
+    assert comparable(a) == comparable(b)
+    assert scrub(normalize(a["manifest"], strip_paths=True)) == scrub(
+        normalize(b["manifest"], strip_paths=True)
+    )
+    assert cache_digests(dir_a) == cache_digests(dir_b)
 
 
 # ---------------------------------------------------------------------------

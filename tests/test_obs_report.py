@@ -1,6 +1,9 @@
 import json
 
+from hfast.cli import main
+from hfast.obs.profile import Observability
 from hfast.obs.report import build_report, render_markdown, write_report
+from hfast.pipeline import run_pipeline
 
 FIXTURE_EVENTS = [
     {
@@ -79,7 +82,7 @@ FIXTURE_EVENTS = [
 
 def test_build_report_structure():
     report = build_report(FIXTURE_EVENTS)
-    assert report["report_version"] == 1
+    assert report["report_version"] == 2
     # last manifest wins, so cache stats are present
     assert report["manifest"]["cache"]["hits"] == 1
     assert len(report["runs"]) == 1
@@ -92,8 +95,13 @@ def test_build_report_structure():
     assert prof["peak_rss_kb"] == 2500
     stages = {s["stage"]: s for s in prof["stages"]}
     assert stages["matrix_reduce"]["wall_s"] == 0.5
-    assert stages["matrix_reduce"]["pct"] == 50.0
+    assert stages["matrix_reduce"]["pct_self"] == 50.0
     assert stages["cache_load"]["calls"] == 1
+    # The profile carries no inclusive share: nested stages overlap, so
+    # only self time partitions the run.
+    assert "pct" not in stages["matrix_reduce"]
+    assert report["anomalies"] == []
+    assert "slo" not in report
 
 
 def test_markdown_rendering():
@@ -151,11 +159,57 @@ def test_time_breakdown_section():
     tb = report["time_breakdown"]
     assert tb is not None
     assert [e["label"] for e in tb["critical_path"]][:2] == ["pipeline", "matrix_reduce"]
-    stages = {s["stage"]: s for s in tb["top_self_stages"]}
+    assert "top_self_stages" not in tb  # self times live in the stage profile
+    stages = {s["stage"]: s for s in report["profile"]["stages"]}
     # pipeline self = 1.0 − (0.25 + 0.5); children carry their own wall.
     assert stages["pipeline"]["self_s"] == 0.25
+    assert stages["pipeline"]["wall_s"] == 1.0
     assert stages["matrix_reduce"]["self_s"] == 0.5
     md = render_markdown(report)
     assert "## Where the time went" in md
     assert md.index("## Where the time went") < md.index("## Stage profile")
     assert "| matrix_reduce | 0.5000 | 0.5000 |" in md
+    assert "| pipeline | 1 | 1.0000 | 0.2500 | 25.0 |" in md
+    assert "Top stages by self time" not in md
+
+
+def test_stage_profile_self_shares_partition_a_real_run(tmp_path):
+    """Nested stages (interconnect_eval inside interconnect_temporal,
+    analyze_app inside cell) must not count twice: over every stage of a
+    real two-app run, pct_self sums to 100."""
+    obs = Observability(enabled=True)
+    run_pipeline(apps=["cactus", "lbmhd"], scales={"cactus": [64], "lbmhd": [64]},
+                 cache_dir=str(tmp_path), obs=obs, store=False, argv=["test"],
+                 bench_dir=None)
+    stages = build_report(obs.events)["profile"]["stages"]
+    names = {s["stage"] for s in stages}
+    assert {"pipeline", "cell", "analyze_app", "interconnect_temporal"} <= names
+    assert abs(sum(s["pct_self"] for s in stages) - 100.0) <= 0.1
+    for s in stages:
+        assert 0.0 <= s["self_s"] <= s["wall_s"] + 1e-6
+
+
+def test_report_ignores_event_kinds_it_no_longer_renders(tmp_path, capsys):
+    """A trace written before report version 2 can still carry
+    ``slo_status`` events; re-rendering it skips them, while its
+    ``anomaly`` events still render."""
+    trace = tmp_path / "old.jsonl"
+    anomaly = {"event": "anomaly", "cell": "cactus_p8", "kind": "straggler",
+               "wall_s": 3.0, "expected_s": 0.5, "ratio": 6.0, "attempts": 1}
+    old_events = FIXTURE_EVENTS + [
+        anomaly,
+        {"event": "slo_status", "slo": "cell-wall", "kind": "latency",
+         "objective": 0.99, "burn": 2.0, "breached": True, "windows": []},
+    ]
+    trace.write_text("".join(json.dumps(e) + "\n" for e in old_events))
+    out = tmp_path / "r"
+    assert main(["report", "--trace", str(trace), "--report-dir", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert report["report_version"] == 2
+    assert "slo" not in report
+    assert report == json.loads(json.dumps(build_report(FIXTURE_EVENTS + [anomaly])))
+    assert [a["cell"] for a in report["anomalies"]] == ["cactus_p8"]
+    md = (out / "report.md").read_text()
+    assert "## cactus @ 8 ranks" in md
+    assert "## Anomalies" in md and "SLO" not in md

@@ -1,33 +1,22 @@
-"""Live telemetry streaming and cross-worker trace propagation.
+"""Event bus and cross-worker trace propagation.
 
-Covers the event bus / worker-channel plumbing in ``hfast.obs.stream``,
-the scheduler's live event emission (``on_event``) plus prior-attempt
-retention, and the tentpole structural contract: the merged JSONL trace
-is ONE tree — every span and app_summary event's parent chain resolves
-to the single run-root ``pipeline`` span, in process and under the
-work-stealing scheduler, retries included.
+Covers the ``EventBus`` behind the serve daemon's ``/v1/events``, the
+scheduler's prior-attempt retention, and the structural contract: the
+merged JSONL trace is ONE tree — every span and app_summary event's
+parent chain resolves to the single run-root ``pipeline`` span, in
+process and under the work-stealing scheduler, retries included.
 """
 
 import pytest
 
-from hfast.obs import stream
 from hfast.obs.profile import Observability
-from hfast.obs.stream import EventBus, StreamForwardSink
+from hfast.obs.stream import EventBus
 from hfast.pipeline import Cell, run_pipeline
 from hfast.sched.faults import FAULT_ENV_VAR
 from hfast.sched.scheduler import SchedulerConfig, run_stealing
 
 APPS = ["cactus", "gtc", "lbmhd", "paratec"]
 SCALES = {app: [8] for app in APPS}
-CELL_ORDER = ["cactus_p8", "gtc_p8", "lbmhd_p8", "paratec_p8"]
-
-
-@pytest.fixture(autouse=True)
-def _clean_channel():
-    """Worker-channel state is process-local; never leak between tests."""
-    stream.clear_worker_channel()
-    yield
-    stream.clear_worker_channel()
 
 
 # ---------------------------------------------------------------------------
@@ -71,44 +60,7 @@ def test_bus_unsubscribe_and_duplicate_subscribe():
 
 
 # ---------------------------------------------------------------------------
-# Worker channel + forward sink
-
-
-def test_forward_sink_stamps_context_without_mutating_original():
-    sent = []
-    sink = StreamForwardSink(sent.append, {"run_id": "r1", "cell": "gtc_p8", "worker": 3})
-    original = {"event": "span", "name": "x"}
-    sink.emit(original)
-    assert sent == [{"event": "span", "name": "x", "run_id": "r1", "cell": "gtc_p8", "worker": 3}]
-    assert original == {"event": "span", "name": "x"}  # annotated copies only
-
-
-def test_forward_sink_drops_none_context_and_never_raises():
-    sink = StreamForwardSink(lambda ev: (_ for _ in ()).throw(OSError("torn pipe")),
-                             {"run_id": None, "cell": "c", "worker": None})
-    assert sink.context == {"cell": "c"}
-    sink.emit({"event": "span"})  # must not raise
-    sink.flush()
-    sink.close()
-
-
-def test_forward_sink_for_requires_live_payload_and_channel():
-    payload = {"live": True, "ctx": {"run_id": "r", "cell": "gtc_p8"}, "attempt": 2}
-    assert stream.forward_sink_for(payload) is None  # no channel registered
-    sent = []
-    stream.set_worker_channel(sent.append, worker_id=7)
-    assert stream.forward_sink_for({"live": False}) is None  # live off
-    sink = stream.forward_sink_for(payload)
-    sink.emit({"event": "cell_start"})
-    assert sent == [
-        {"event": "cell_start", "run_id": "r", "cell": "gtc_p8", "worker": 7, "attempt": 2}
-    ]
-    stream.clear_worker_channel()
-    assert stream.worker_channel() is None and stream.worker_id() is None
-
-
-# ---------------------------------------------------------------------------
-# Scheduler: on_event stream + prior-attempt retention (toy executor)
+# Scheduler: prior-attempt retention (toy executor)
 
 
 def _toy_execute(task):
@@ -138,10 +90,9 @@ def _payload(cell, attempt):
     return {"app": cell.app, "nranks": cell.nranks, "index": cell.index}
 
 
-def test_run_stealing_emits_live_events_and_keeps_prior_attempts():
-    events = []
+def test_run_stealing_keeps_prior_attempts():
     cfg = SchedulerConfig(workers=2, max_retries=2, retry_backoff=0.01, poll_interval=0.01)
-    results, stats = run_stealing(_cells(), _payload, _toy_execute, cfg, on_event=events.append)
+    results, stats = run_stealing(_cells(), _payload, _toy_execute, cfg)
 
     gtc = results[1]
     assert gtc["ok"] and gtc["attempts"] == 2
@@ -151,93 +102,7 @@ def test_run_stealing_emits_live_events_and_keeps_prior_attempts():
     assert [e["name"] for e in prior["events"]] == ["work"]
     # Clean cells carry no prior-attempt baggage.
     assert results[0].get("prior_attempts") in (None, [])
-
-    states = [(e["cell"], e["state"]) for e in events if e.get("event") == "cell_state"]
-    assert ("gtc_p8", "retry") in states
-    assert ("gtc_p8", "done") in states
-    for key in ("cactus_p8", "lbmhd_p8", "paratec_p8"):
-        assert (key, "running") in states and (key, "done") in states
-    # Stolen tasks are marked on their running transition.
-    stolen = [e for e in events if e.get("event") == "cell_state"
-              and e["state"] == "running" and e.get("stolen")]
-    assert len(stolen) == stats["steals"]
-
-
-def test_run_stealing_without_on_event_is_silent():
-    cfg = SchedulerConfig(workers=2, poll_interval=0.01)
-    results, _ = run_stealing(_cells(), _payload, _toy_execute, cfg)
-    assert len(results) == 4  # no bus, no crash: live path fully optional
-
-
-# ---------------------------------------------------------------------------
-# Pipeline live streaming (in process and under the stealing scheduler)
-
-
-def run_live(cache_dir, workers=1, **kwargs):
-    bus = EventBus()
-    received = []
-    bus.subscribe(received.append)
-    obs = Observability(enabled=True)
-    out = run_pipeline(
-        apps=APPS, scales=SCALES, cache_dir=str(cache_dir), obs=obs,
-        argv=["test"], workers=workers, bench_dir=None,
-        bus=bus, **kwargs,
-    )
-    return out, obs, received
-
-
-def test_serial_live_stream_carries_trace_context(tmp_path):
-    out, obs, received = run_live(tmp_path / "c")
-
-    kinds = [e["event"] for e in received]
-    assert kinds[0] == "run_start" and kinds[-1] == "run_end"
-    run_id = received[0]["run_id"]
-    assert run_id
-    assert [c["cell"] for c in received[0]["cells"]] == CELL_ORDER
-
-    starts = [e for e in received if e["event"] == "cell_start"]
-    assert [s["cell"] for s in starts] == CELL_ORDER
-    assert all(s["run_id"] == run_id and s["worker"] == 0 for s in starts)
-
-    # Worker span/app_summary events stream live, stamped with context.
-    live_spans = [e for e in received if e["event"] == "span"]
-    assert live_spans
-    assert all(e["run_id"] == run_id and e["cell"] in CELL_ORDER for e in live_spans)
-    assert sum(1 for e in received if e["event"] == "app_summary") == 4
-
-    done = [e for e in received if e["event"] == "cell_state" and e["state"] == "done"]
-    assert [e["cell"] for e in done] == CELL_ORDER
-    assert received[-1]["failed_cells"] == []
-
-    # Side-channel contract: nothing context-stamped leaks into the buffer.
-    assert all("run_id" not in e and "cell" not in e for e in obs.events)
-    assert "run_id" not in out["manifest"].get("scheduler", {})
-
-
-def test_pool_live_stream_forwards_from_worker_processes(tmp_path):
-    out, _obs, received = run_live(tmp_path / "c", workers=4)
-
-    starts = [e for e in received if e["event"] == "cell_start"]
-    assert sorted(s["cell"] for s in starts) == sorted(CELL_ORDER)
-    # Pool workers identify themselves by their scheduler worker id.
-    assert all(s["worker"] in range(4) for s in starts)
-    done = [e for e in received if e["event"] == "cell_state" and e["state"] == "done"]
-    assert len(done) == 4
-    assert sum(1 for e in received if e["event"] == "app_summary") == 4
-    assert out["manifest"]["failed_cells"] == []
-
-
-def test_stealing_live_stream_reports_cell_states(tmp_path):
-    out, _obs, received = run_live(tmp_path / "c", workers=2)
-
-    run_id = out["manifest"]["scheduler"]["run_id"]
-    assert received[0]["event"] == "run_start" and received[0]["run_id"] == run_id
-    states = [(e["cell"], e["state"]) for e in received if e["event"] == "cell_state"]
-    for key in CELL_ORDER:
-        assert (key, "running") in states and (key, "done") in states
-    starts = [e for e in received if e["event"] == "cell_start"]
-    assert sorted(s["cell"] for s in starts) == sorted(CELL_ORDER)
-    assert all(s["run_id"] == run_id for s in starts)
+    assert all(r["ok"] for r in results) and stats["retries"] == 1
 
 
 # ---------------------------------------------------------------------------

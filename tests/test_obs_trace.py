@@ -160,7 +160,7 @@ def test_tracer_flush_reaches_the_sink(tmp_path):
     tracer = SpanTracer(sink=JsonlSink(path))
     with tracer.span("a"):
         pass
-    tracer.flush()  # the live path flushes mid-run without closing
+    tracer.flush()  # a mid-run flush must not close the sink
     assert [e["name"] for e in read_events(path)] == ["a"]
     with tracer.span("b"):
         pass

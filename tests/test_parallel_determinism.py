@@ -19,10 +19,12 @@ APPS = ["cactus", "gtc", "lbmhd", "paratec"]
 SCALES = {app: [8, 16] for app in APPS}
 
 TIMING_FIELDS = {
-    "wall_s", "pct", "total_wall_s", "peak_rss_kb", "timestamp", "argv", "workers",
+    "wall_s", "total_wall_s", "peak_rss_kb", "timestamp", "argv", "workers",
     # PR 6: absolute cell execution stamps and the wall-derived report
     # section built from them are timing artifacts like wall_s itself.
     "t_start", "t_end", "pid", "time_breakdown",
+    # Per-stage self time and its share of the run: wall-derived too.
+    "self_s", "pct_self",
 }
 
 

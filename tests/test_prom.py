@@ -1,4 +1,4 @@
-"""Prometheus text exposition: rendering, parsing, and the /metrics server.
+"""Prometheus text exposition: rendering and parsing.
 
 The contract under test: ``parse_prometheus(render_prometheus(s)) ==
 prometheus_projection(s)`` for any registry snapshot — the exposition is
@@ -6,23 +6,15 @@ well-formed and lossless for everything the format can carry (counters,
 gauges, histogram count/sum/buckets, min/max companion gauges).
 """
 
-import urllib.error
-import urllib.request
-
 import pytest
 
 from hfast.obs.metrics import MetricsRegistry
 from hfast.obs.prom import (
-    CONTENT_TYPE,
-    MetricsServer,
-    escape_label_value,
     parse_prometheus,
     prom_name,
     prometheus_projection,
     render_prometheus,
-    render_registry,
-    render_slo_prometheus,
-    slo_prometheus_projection,
+    render_registries,
 )
 
 
@@ -91,61 +83,6 @@ def test_empty_histogram_renders_wellformed():
     assert parse_prometheus(text) == prometheus_projection(snap)
 
 
-def test_escape_label_value_covers_the_three_escapables():
-    assert escape_label_value('a"b\\c\nd') == 'a\\"b\\\\c\\nd'
-    assert escape_label_value("plain") == "plain"
-
-
-def slo_statuses(names=("cell-wall",), breached=False):
-    return [
-        {
-            "slo": name,
-            "kind": "cell_wall",
-            "objective": 0.99,
-            "burn": 25.0 if breached else 0.0,
-            "budget_remaining": 0.0 if breached else 1.0,
-            "breached": breached,
-            "windows": [
-                {"name": "fast", "last": 4, "burn": 25.0 if breached else 0.0,
-                 "max_burn": 14.0, "n": 4, "bad": 1 if breached else 0,
-                 "breached": breached},
-                {"name": "slow", "last": 16, "burn": 25.0 if breached else 0.0,
-                 "max_burn": 6.0, "n": 4, "bad": 1 if breached else 0,
-                 "breached": breached},
-            ],
-        }
-        for name in names
-    ]
-
-
-def test_slo_round_trip_matches_projection():
-    for breached in (False, True):
-        statuses = slo_statuses(names=("cell-wall", "call-latency"), breached=breached)
-        text = render_slo_prometheus(statuses)
-        assert parse_prometheus(text) == slo_prometheus_projection(statuses)
-        want = 1 if breached else 0
-        assert f'hfast_slo_breached{{slo="cell-wall"}} {want}' in text.splitlines()
-
-
-def test_slo_label_values_escape_and_round_trip():
-    # SLO names are unrestricted: quotes, backslashes, and newlines must
-    # survive a render -> parse round trip via label escaping.
-    statuses = slo_statuses(names=('p99 "tail"', "back\\slash", "multi\nline"))
-    text = render_slo_prometheus(statuses)
-    parsed = parse_prometheus(text)
-    assert parsed == slo_prometheus_projection(statuses)
-    breached_samples = parsed["hfast_slo_breached"]["samples"]
-    assert '{slo="p99 \\"tail\\""}' in breached_samples
-    assert '{slo="back\\\\slash"}' in breached_samples
-    assert '{slo="multi\\nline"}' in breached_samples
-
-
-def test_render_slo_empty_statuses():
-    assert render_slo_prometheus([]) == ""
-    assert slo_prometheus_projection([]) == {}
-    assert parse_prometheus(render_slo_prometheus([])) == {}
-
-
 def test_render_registry_from_live_pipeline_registry(tmp_path):
     from hfast.obs.profile import Observability
     from hfast.pipeline import run_pipeline
@@ -153,31 +90,8 @@ def test_render_registry_from_live_pipeline_registry(tmp_path):
     obs = Observability(enabled=True)
     run_pipeline(apps=["gtc"], scales={"gtc": [8]}, cache_dir=str(tmp_path),
                  obs=obs, argv=["test"], bench_dir=None)
-    text = render_registry(obs.metrics)
+    text = render_registries(obs.metrics)
     snap = obs.metrics.to_dict()
     assert parse_prometheus(text) == prometheus_projection(snap)
     assert "hfast_pipeline_bytes_total" in text
     assert "hfast_msg_size_bytes_gtc_count" in text
-
-
-def test_metrics_server_serves_and_404s():
-    reg = sample_registry()
-    server = MetricsServer(lambda: render_registry(reg), port=0).start()
-    try:
-        assert server.port and server.url.endswith("/metrics")
-        with urllib.request.urlopen(server.url, timeout=5) as resp:
-            assert resp.status == 200
-            assert resp.headers["Content-Type"] == CONTENT_TYPE
-            body = resp.read().decode("utf-8")
-        assert parse_prometheus(body) == prometheus_projection(reg.to_dict())
-
-        # Scrapes reflect the live registry, not a start-time snapshot.
-        reg.counter("pipeline.apps_analyzed").inc(10)
-        with urllib.request.urlopen(server.url, timeout=5) as resp:
-            assert "hfast_pipeline_apps_analyzed 14" in resp.read().decode("utf-8")
-
-        with pytest.raises(urllib.error.HTTPError) as exc:
-            urllib.request.urlopen(f"http://127.0.0.1:{server.port}/nope", timeout=5)
-        assert exc.value.code == 404
-    finally:
-        server.stop()
