@@ -14,13 +14,16 @@ Subcommands::
     python -m hfast calibrate [--out PARAMS.json]
     python -m hfast apps    [--params PARAMS.json]
 
-``--profile`` turns the observability layer on; ``--trace-out`` /
-``--metrics-out`` imply it. With no profiling flags, the pipeline runs
-with observability disabled (the near-zero-overhead path).
+``--profile`` turns the observability layer on; ``--trace-out``,
+``--metrics-out``, ``--report-dir`` and ``--bench-dir`` imply it. Each
+writes only the artifact it names; ``report.md``/``report.json`` land in
+``--report-dir``, or in ``./reports`` when only ``--profile`` asked for
+them. With no profiling flags, the pipeline runs with observability
+disabled (the near-zero-overhead path).
 
 By default (``--workers 1``) the (app, scale) cells run one after
 another in the calling process. ``--workers N`` (N > 1), ``--resume``,
-``--journal-dir`` and ``--mitigate`` each move the run onto the
+and ``--journal-dir`` each move the run onto the
 fault-tolerant work-stealing scheduler: cost-ordered shared queue,
 ``--max-retries`` per-cell retries with backoff, hung/crashed-worker
 re-dispatch (``--heartbeat-timeout``), and a run journal (default
@@ -32,17 +35,6 @@ sweep across hosts. A failing cell is reported and skipped; the exit
 code is nonzero only when every cell failed, or when any cell failed
 under ``--strict``. A cell that succeeds on retry is not a failure:
 ``--strict`` only trips on cells that exhausted their retries.
-
-A profiled run scores every finished cell with an online anomaly
-detector and prints the stragglers and regressions it flags
-(``--anomaly-threshold`` tunes the straggler ratio). ``--mitigate``
-(runs under the work-stealing scheduler) closes the loop: in-flight
-cells the detector flags as stragglers are speculatively re-dispatched
-to another worker (first result wins) and their app's queued siblings
-are reprioritized. It only changes scheduling order and wall time —
-results, cache artifacts, and report content are byte-identical either
-way. ``--log-out`` writes a size-rotated structured JSON log with
-run/cell correlation ids for the pipeline and the scheduler.
 
 ``hfast trace`` analyzes any ``--trace-out`` JSONL file or scheduler
 journal post-mortem: ``summary`` (critical path, stage self-times,
@@ -190,22 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--metrics-out", default=None, help="metrics JSON export path (implies --profile)")
     p_an.add_argument("--report-dir", default=None, help="write report.md + report.json here (implies --profile)")
     p_an.add_argument("--bench-dir", default=None, help="write BENCH_<sha>.json here (implies --profile)")
-    p_an.add_argument(
-        "--anomaly-threshold", type=float, default=None,
-        help="flag a cell as a straggler when its wall time exceeds this "
-             "multiple of the cost-model expectation (default: 4.0)",
-    )
-    p_an.add_argument(
-        "--mitigate", action="store_true",
-        help="act on in-flight straggler advisories: speculatively re-dispatch "
-             "flagged cells and reprioritize their app's queued siblings "
-             "(runs under the work-stealing scheduler; results stay byte-identical)",
-    )
-    p_an.add_argument(
-        "--log-out", default=None, metavar="LOG.jsonl",
-        help="structured JSON log (rotating) with run/cell correlation ids "
-             "for the pipeline and the scheduler",
-    )
 
     p_rep = sub.add_parser("report", help="render a report from an existing JSONL trace")
     p_rep.add_argument("--trace", required=True, help="JSONL event trace to read")
@@ -403,6 +379,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_run_artifacts(args: argparse.Namespace, obs: Observability) -> None:
+    """Write the report and BENCH files the flags asked for, then close the trace.
+
+    ``report.md``/``report.json`` go to ``--report-dir``, or to
+    ``./reports`` when only ``--profile`` was given; ``--trace-out`` and
+    ``--bench-dir`` alone never write a report.
+    """
+    report_dir = args.report_dir or (DEFAULT_REPORT_DIR if args.profile else None)
+    if report_dir is not None or args.bench_dir:
+        paths = write_report(build_report(obs.events), report_dir, bench_dir=args.bench_dir)
+        for kind, path in paths.items():
+            print(f"{kind}: {path}")
+    if args.trace_out:
+        print(f"trace: {args.trace_out}")
+    obs.close()
+
+
 def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     profiling = bool(
         args.profile or args.trace_out or args.metrics_out or args.report_dir
@@ -414,11 +407,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     else:
         obs = Observability.disabled()
     configure(obs)
-
-    if args.log_out:
-        from hfast.obs.logs import configure_logging
-
-        configure_logging(args.log_out)
 
     apps = args.apps or available_apps()
     unknown = [a for a in apps if a not in APPS]
@@ -450,8 +438,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             heartbeat_timeout=args.heartbeat_timeout,
             journal_dir=args.journal_dir,
             resume=args.resume,
-            anomaly_threshold=args.anomaly_threshold,
-            mitigate=args.mitigate,
         )
     except CacheValidationError as exc:
         print(f"error: cache validation failed: {exc}", file=sys.stderr)
@@ -459,11 +445,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     except JournalError as exc:
         print(f"error: cannot resume: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if args.log_out:
-            from hfast.obs.logs import reset_logging
-
-            reset_logging()
 
     for res in out["results"]:
         ic = res["interconnect"]
@@ -488,34 +469,11 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
         )
         if sched.get("journal"):
             print(f"journal: {sched['journal']} (resume with --resume {sched.get('run_id')})")
-        mit = sched.get("mitigation")
-        if mit:
-            print(
-                f"mitigation: {mit.get('advisories', 0)} advisories, "
-                f"{mit.get('speculative_dispatches', 0)} speculative dispatches "
-                f"({mit.get('speculation_wins', 0)} races won), "
-                f"{mit.get('reweighted_cells', 0)} cells reweighted"
-            )
 
-    if profiling:
-        if args.metrics_out:
-            obs.metrics.write_json(args.metrics_out)
-            print(f"metrics: {args.metrics_out}")
-        report_dir = args.report_dir or DEFAULT_REPORT_DIR
-        report = build_report(obs.events)
-        paths = write_report(report, report_dir, bench_dir=args.bench_dir)
-        for kind, path in paths.items():
-            print(f"{kind}: {path}")
-        if args.trace_out:
-            print(f"trace: {args.trace_out}")
-    obs.close()
-
-    for a in out.get("anomalies") or []:
-        print(
-            f"anomaly: {a['cell']} {a['kind']}: {a['wall_s']:.3f}s vs "
-            f"expected {a['expected_s']:.3f}s ({a['ratio']}x)",
-            file=sys.stderr,
-        )
+    if args.metrics_out:
+        obs.metrics.write_json(args.metrics_out)
+        print(f"metrics: {args.metrics_out}")
+    _write_run_artifacts(args, obs)
 
     cells = out["manifest"].get("cells") or []
     failed = [c for c in cells if not c["ok"]]
@@ -572,9 +530,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             )
             if doc["failed_cells"]:
                 print(f"failed cells: {', '.join(doc['failed_cells'])}")
-            if doc["anomalies"]:
-                counts = ", ".join(f"{k}={v}" for k, v in sorted(doc["anomalies"].items()))
-                print(f"anomalies: {counts}")
             print("\ncritical path:")
             for e in doc["critical_path"]:
                 print(f"  {'  ' * e['depth']}{e['label']}  {e['wall_s']:.4f}s")
@@ -772,15 +727,7 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
             fh.write(frontier_bytes(frontier))
         print(f"frontier: {args.out}")
 
-    if profiling:
-        report_dir = args.report_dir or DEFAULT_REPORT_DIR
-        report = build_report(obs.events)
-        paths = write_report(report, report_dir, bench_dir=args.bench_dir)
-        for kind, path in paths.items():
-            print(f"{kind}: {path}")
-        if args.trace_out:
-            print(f"trace: {args.trace_out}")
-    obs.close()
+    _write_run_artifacts(args, obs)
 
     failed = frontier["failed"]
     for f in failed:

@@ -30,7 +30,6 @@ from hfast.obs.analytics import (
     stage_rollup,
     summarize,
 )
-from hfast.obs.anomaly import AnomalyDetector
 from hfast.obs.flame import folded_stacks, speedscope_doc
 from hfast.obs.manifest import build_manifest, git_sha
 from hfast.obs.metrics import (
@@ -67,7 +66,6 @@ from hfast.obs.trace import (
 )
 
 __all__ = [
-    "AnomalyDetector",
     "Counter",
     "EventBus",
     "Gauge",

@@ -17,7 +17,7 @@ from typing import Any
 
 from hfast.obs.analytics import TraceTree, attribution, critical_path, stage_rollup
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 
 def bench_run_rows(runs: list[dict[str, Any]]) -> list[dict[str, Any]]:
@@ -51,7 +51,6 @@ def build_report(events: list[dict[str, Any]]) -> dict[str, Any]:
     """
     manifest: dict[str, Any] | None = None
     runs: list[dict[str, Any]] = []
-    anomalies: list[dict[str, Any]] = []
     frontiers: list[dict[str, Any]] = []
     peak_rss = 0
 
@@ -65,8 +64,6 @@ def build_report(events: list[dict[str, Any]]) -> dict[str, Any]:
             manifest = {k: v for k, v in ev.items() if k != "event"}
         elif kind == "app_summary":
             runs.append({k: v for k, v in ev.items() if k not in structural})
-        elif kind == "anomaly":
-            anomalies.append({k: v for k, v in ev.items() if k not in structural})
         elif kind == "dse_frontier":
             frontiers.append({k: v for k, v in ev.items() if k not in structural})
         elif kind == "span":
@@ -90,7 +87,6 @@ def build_report(events: list[dict[str, Any]]) -> dict[str, Any]:
         "report_version": REPORT_VERSION,
         "manifest": manifest,
         "runs": runs,
-        "anomalies": anomalies,
         # Design-space search results (one entry per dse_frontier event):
         # the full frontier artifact document, byte-identical across
         # scheduler backends by the DSE determinism contract.
@@ -276,20 +272,6 @@ def render_markdown(report: dict[str, Any]) -> str:
                 )
             lines.append("")
 
-    anomalies = report.get("anomalies") or []
-    if anomalies:
-        lines.append("## Anomalies")
-        lines.append("")
-        lines.append("| cell | kind | wall (s) | expected (s) | ratio | attempts |")
-        lines.append("|---|---|---:|---:|---:|---:|")
-        for a in anomalies:
-            lines.append(
-                f"| {a.get('cell', '?')} | {a.get('kind', '?')} "
-                f"| {a.get('wall_s', 0):.4f} | {a.get('expected_s', 0):.4f} "
-                f"| {a.get('ratio', 0):.2f}x | {a.get('attempts', 1)} |"
-            )
-        lines.append("")
-
     tb = report.get("time_breakdown")
     if tb:
         lines.append("## Where the time went")
@@ -372,23 +354,23 @@ def render_markdown(report: dict[str, Any]) -> str:
 
 def write_report(
     report: dict[str, Any],
-    out_dir: str | os.PathLike,
+    out_dir: str | os.PathLike | None,
     bench_dir: str | os.PathLike | None = None,
 ) -> dict[str, Path]:
-    """Write report.md + report.json (and a BENCH_*.json when bench_dir set)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write report.md + report.json to ``out_dir`` when it is set, and a
+    BENCH_*.json to ``bench_dir`` when that is set."""
     paths: dict[str, Path] = {}
-
-    json_path = out / "report.json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    paths["json"] = json_path
-
-    md_path = out / "report.md"
-    md_path.write_text(render_markdown(report), encoding="utf-8")
-    paths["markdown"] = md_path
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        json_path = out / "report.json"
+        with open(json_path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        paths["json"] = json_path
+        md_path = out / "report.md"
+        md_path.write_text(render_markdown(report), encoding="utf-8")
+        paths["markdown"] = md_path
 
     if bench_dir is not None:
         man = report.get("manifest") or {}

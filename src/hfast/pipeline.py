@@ -41,8 +41,6 @@ from hfast.apps import available_apps, synthesize
 from hfast.cache import DEFAULT_CACHE_DIR, CacheStats, ReproCache
 from hfast.interconnect import InterconnectConfig, evaluate_hybrid, evaluate_temporal
 from hfast.matrix import reduce_matrix
-from hfast.obs.anomaly import AnomalyDetector
-from hfast.obs.logs import get_logger
 from hfast.obs.manifest import build_manifest
 from hfast.obs.metrics import log2_bucket
 from hfast.obs.profile import Observability, get_obs, using
@@ -50,7 +48,6 @@ from hfast.records import SEND_CALLS, Trace
 from hfast.sched.cost import CostModel
 from hfast.sched.faults import inject_slow
 from hfast.sched.journal import build_fingerprint
-from hfast.sched.mitigate import MitigationPolicy
 from hfast.sched.scheduler import cell_runner
 from hfast.timing import DEFAULT_TIMING_SEED, TimingModel
 from hfast.topology import analyze_topology
@@ -401,18 +398,15 @@ def run_pipeline(
     run_id: str | None = None,
     service: dict[str, Any] | None = None,
     bench_dir: str | None = ".",
-    anomaly: AnomalyDetector | None = None,
-    anomaly_threshold: float | None = None,
-    mitigate: bool = False,
 ) -> dict[str, Any]:
-    """Run the analysis matrix; returns ``{"manifest", "results", "anomalies"}``.
+    """Run the analysis matrix; returns ``{"manifest", "results"}``.
 
     ``shard=(i, m)`` restricts the run to every m-th cell starting at i.
     Failed cells are recorded in ``manifest["cells"]`` /
     ``manifest["failed_cells"]`` and excluded from ``results``.
 
-    With ``workers <= 1`` and no ``journal_dir``, ``resume``, ``run_id``
-    or ``mitigate``, cells run in this process, in cell order
+    With ``workers <= 1`` and no ``journal_dir``, ``resume`` or
+    ``run_id``, cells run in this process, in cell order
     (``manifest["scheduler"]["backend"] == "serial"``). More workers or
     any of those inputs move the run onto the fault-tolerant
     work-stealing scheduler (``"stealing"``): cells are pulled
@@ -423,17 +417,6 @@ def run_pipeline(
     progress is journaled so ``resume=<run-id>`` replays completed cells
     instead of re-running them. Scheduler bookkeeping lands in
     ``manifest["scheduler"]``; per-cell ``attempts`` in ``manifest["cells"]``.
-
-    Completed cells of a profiled run are scored by an online
-    straggler/regression detector (``anomaly``, or a default calibrated
-    from ``bench_dir`` and ``anomaly_threshold``); flagged cells are
-    emitted as ``anomaly`` trace events and returned under
-    ``"anomalies"``. ``mitigate=True`` closes the loop: in-flight cells
-    the detector flags as ``straggler_running`` are speculatively
-    re-dispatched and their app's queued siblings reprioritized. This
-    changes only scheduling order and wall time — results, cache, trace
-    invariants, and report content stay byte-identical to a
-    non-mitigated run.
 
     ``run_id`` pins the journal id instead of
     generating one — callers that must find the journal again after a
@@ -456,7 +439,7 @@ def run_pipeline(
     )
     runner = cell_runner(
         fingerprint, cache_dir, workers=workers, journal_dir=journal_dir, resume=resume,
-        run_id=run_id, mitigate=mitigate, max_retries=max_retries,
+        run_id=run_id, max_retries=max_retries,
         heartbeat_timeout=heartbeat_timeout, retry_backoff=retry_backoff,
     )
 
@@ -466,29 +449,9 @@ def run_pipeline(
     )
     obs.tracer.emit_event("manifest", manifest)
 
-    # Structured logging is a pure side channel (separate file, wall-clock
-    # allowed): a no-op unless configure_logging() installed a sink.
-    log = get_logger(component="pipeline", run_id=runner.info.get("run_id"))
-    log.info(
-        "run_start", scheduler=runner.info["backend"], workers=workers,
-        ncells=len(cells), apps=apps,
-    )
-
     cost_model: CostModel | None = None
     if runner.journal is not None:
         cost_model = CostModel.from_bench_dir(bench_dir)
-
-    detector = anomaly
-    if detector is None and obs.enabled:
-        kwargs = {"threshold": anomaly_threshold} if anomaly_threshold else {}
-        detector = AnomalyDetector.from_bench_dir(bench_dir, **kwargs)
-
-    # The mitigation policy gets its own detector instance: it is warmed
-    # in completion order on the scheduler side, while ``detector`` above
-    # is warmed in deterministic cell order at merge time.
-    mitigator: MitigationPolicy | None = None
-    if mitigate:
-        mitigator = MitigationPolicy.from_bench_dir(bench_dir, threshold=anomaly_threshold)
 
     def payload_for(cell: Cell) -> dict[str, Any]:
         return {
@@ -537,32 +500,11 @@ def run_pipeline(
             obs.metrics.merge_snapshot(res["metrics"])
         _merge_cache_stats(cache.stats, res["cache"])
         cell_reports.append(report_for(res))
-        log.log(
-            "info" if res["ok"] else "error",
-            "cell_done",
-            cell=f"{res['app']}_p{res['nranks']}",
-            ok=bool(res["ok"]),
-            attempts=res.get("attempts", 1),
-            wall_s=round(res["wall_s"], 6),
-            error=res["error"],
-        )
         if res["summary"] is not None:
             results.append(res["summary"])
-        if detector is not None:
-            found = detector.observe(
-                res["app"],
-                res["nranks"],
-                res["wall_s"],
-                attempts=res.get("attempts", 1),
-                ok=bool(res["ok"]),
-            )
-            for a in found:
-                anomalies.append(a)
-                obs.tracer.emit_event("anomaly", a)
 
     cell_reports: list[dict[str, Any]] = []
     results: list[dict[str, Any]] = []
-    anomalies: list[dict[str, Any]] = []
     root_id: int | None = None
     with obs.tracer.span(
         "pipeline", napps=len(apps), ncells=len(cells), workers=workers
@@ -571,7 +513,7 @@ def run_pipeline(
         # Cells come back in cell-definition order, whatever order they ran in.
         for res in runner.run(
             cells, lambda cell, attempt: payload_for(cell), execute_cell,
-            cost_model=cost_model, obs=obs, mitigator=mitigator,
+            cost_model=cost_model, obs=obs,
         ):
             merge_one(res)
 
@@ -582,11 +524,4 @@ def run_pipeline(
     manifest["cache"] = cache.stats.to_dict()
     manifest["scheduler"] = runner.info
     obs.tracer.emit_event("manifest", manifest)
-
-    log.info(
-        "run_done",
-        cells=len(cell_reports),
-        failed=len(manifest["failed_cells"]),
-        anomalies=len(anomalies),
-    )
-    return {"manifest": manifest, "results": results, "anomalies": anomalies}
+    return {"manifest": manifest, "results": results}

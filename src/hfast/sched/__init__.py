@@ -14,9 +14,6 @@ Modules:
   chaos tests and CI (crash / hang / flaky, per cell, per attempt).
 - :mod:`hfast.sched.journal` — append-only JSONL run journal; completed
   cells replay from it on resume, byte-identical to an uninterrupted run.
-- :mod:`hfast.sched.mitigate` — closed-loop straggler mitigation:
-  in-flight anomaly advisories become speculative re-dispatch /
-  reprioritization hints for the scheduler (``--mitigate``).
 - :mod:`hfast.sched.scheduler` — the work-stealing executor itself, and
   :func:`cell_runner`, which decides whether a run's cells stay in the
   calling process or go through it.
@@ -25,14 +22,12 @@ Modules:
 from hfast.sched.cost import CostModel, estimate_cell_records
 from hfast.sched.faults import FAULT_ENV_VAR, TransientFault, parse_fault_spec
 from hfast.sched.journal import DEFAULT_JOURNAL_SUBDIR, JournalError, RunJournal, new_run_id
-from hfast.sched.mitigate import MitigationPolicy
 from hfast.sched.scheduler import SchedulerConfig, SchedulerError, cell_runner, run_stealing
 
 __all__ = [
     "CostModel",
     "estimate_cell_records",
     "FAULT_ENV_VAR",
-    "MitigationPolicy",
     "TransientFault",
     "parse_fault_spec",
     "DEFAULT_JOURNAL_SUBDIR",

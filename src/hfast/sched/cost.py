@@ -127,8 +127,7 @@ def load_bench_measurements(bench_dir: str | Path | None) -> dict[tuple[str, int
 
     Strictly best-effort: a missing directory, no snapshots, or a
     malformed file all return an empty mapping rather than raising. Used
-    both to calibrate the scheduler's cost model and as the regression
-    baseline for the online anomaly detector.
+    to calibrate the scheduler's cost model.
     """
     if bench_dir is None:
         return {}

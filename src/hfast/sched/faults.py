@@ -11,7 +11,8 @@ variable (inherited by worker processes), as a comma-separated list of
 - ``flaky`` — raise :class:`TransientFault` (an ordinary in-cell failure
   the retry policy absorbs);
 - ``slow``  — sleep inside the cell's timed region so the cell succeeds
-  but with an inflated wall time (exercises the straggler detector);
+  but with an inflated wall time (keeps a job in flight long enough
+  to observe, e.g. a served job during shutdown);
 
 ``cell_key`` is the ``{app}_p{nranks}`` cell name and ``n`` is the number
 of leading attempts affected: ``crash:gtc_p16:1`` kills the worker on
@@ -102,8 +103,7 @@ def inject_slow(cell_key: str, attempt: int) -> None:
     """Fire a configured ``slow`` fault for (cell, attempt), if any.
 
     Called from inside the cell's measured window (so the delay shows up
-    in the cell's ``wall_s`` and trips the straggler detector). No-op for
-    every other fault mode.
+    in the cell's ``wall_s``). No-op for every other fault mode.
     """
     spec = os.environ.get(FAULT_ENV_VAR)
     if not spec:

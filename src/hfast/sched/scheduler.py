@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Iterable, Sequence
 
-from hfast.obs.logs import get_logger
 from hfast.obs.profile import Observability
 from hfast.sched.cost import CostModel
 from hfast.sched.faults import TransientFault, maybe_inject
@@ -150,8 +149,7 @@ def _worker_main(
 
 class _WorkerSlot:
     __slots__ = (
-        "worker_id", "proc", "conn", "busy", "busy_since", "last_beat",
-        "tasks_done", "had_task",
+        "worker_id", "proc", "conn", "busy", "last_beat", "tasks_done", "had_task",
     )
 
     def __init__(self, worker_id: int, proc: Any, conn: Any):
@@ -159,7 +157,6 @@ class _WorkerSlot:
         self.proc = proc
         self.conn = conn
         self.busy: tuple[int, Any] | None = None  # (cell index, cell)
-        self.busy_since = time.monotonic()
         self.last_beat = time.monotonic()
         self.tasks_done = 0
         self.had_task = False
@@ -189,7 +186,6 @@ def run_stealing(
     cost_model: CostModel | None = None,
     obs: Observability | None = None,
     journal: RunJournal | None = None,
-    mitigator: Any = None,
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Run cells under the work-stealing scheduler.
 
@@ -199,21 +195,11 @@ def run_stealing(
     manifest. Every result carries ``attempts``; failed cells have
     ``ok=False`` after exhausting their retries.
 
-    ``mitigator`` (a :class:`hfast.sched.mitigate.MitigationPolicy`)
-    closes the observability loop: every poll tick the busy cells are
-    scored against its online straggler detector, and a flagged cell is
-    speculatively duplicated onto an idle/spawned worker — first result
-    wins, the loser is killed — while still-queued cells of the flagged
-    app get their priority reweighted. Mitigation changes only *where
-    and when* cells run (and therefore wall time); results, cache, and
-    trace-shape invariants are untouched, because duplicate execution is
-    idempotent and losers are discarded before the merge.
+    A cell has at most one attempt in flight: a retry or a re-dispatch
+    is queued only after the previous attempt failed or its worker was
+    lost.
     """
     cost_model = cost_model or CostModel()
-    # Ambient structured log: a no-op unless the process configured one
-    # (hfast analyze --log-out); correlation ids let a reader join these
-    # records against the trace.
-    log = get_logger(component="sched", run_id=journal.run_id if journal is not None else None)
     stats: dict[str, Any] = {
         "backend": "stealing",
         "workers": config.workers,
@@ -230,7 +216,6 @@ def run_stealing(
     }
     completed: dict[int, dict[str, Any]] = {}
     attempts: dict[int, int] = {}
-    speculated: set[int] = set()  # cell indices with a duplicate in flight (or done)
     # Events from failed attempts, kept so retries graft as sibling spans
     # under the cell span instead of vanishing (or duplicating roots).
     prior_attempts: dict[int, list[dict[str, Any]]] = {}
@@ -292,7 +277,6 @@ def run_stealing(
             stats["steals"] += 1
         slot.had_task = True
         slot.busy = (index, cell)
-        slot.busy_since = time.monotonic()
         slot.last_beat = time.monotonic()
         stats["tasks_dispatched"] += 1
         return True
@@ -312,41 +296,11 @@ def run_stealing(
                 {"worker": slot.worker_id, "tasks_done": slot.tasks_done},
             )
 
-    def running_elsewhere(index: int, but: _WorkerSlot | None = None) -> bool:
-        return any(
-            s is not but and s.busy is not None and s.busy[0] == index
-            for s in slots.values()
-        )
-
     def handle_finished(slot: _WorkerSlot, index: int, result: dict[str, Any]) -> None:
         cell = slot.busy[1] if slot.busy else None
         slot.busy = None
         slot.last_beat = time.monotonic()
-        if index in completed:
-            # A speculative duplicate lost the race after the winner was
-            # recorded; its (identical) result is discarded unmerged.
-            if mitigator is not None:
-                mitigator.stats["speculation_losses"] += 1
-            return
         n_attempts = attempts.get(index, 1)
-        key = f"{result['app']}_p{result['nranks']}"
-        if mitigator is not None:
-            mitigator.note_done(
-                result["app"], result["nranks"], result.get("wall_s", 0.0),
-                ok=bool(result.get("ok")),
-            )
-        if not result.get("ok") and running_elsewhere(index):
-            # A failed attempt whose speculative duplicate is still running:
-            # the duplicate *is* the retry, so keep its events for grafting
-            # but schedule nothing new.
-            prior_attempts.setdefault(index, []).append(
-                {
-                    "attempt": n_attempts,
-                    "events": result.get("events") or [],
-                    "error": result.get("error"),
-                }
-            )
-            return
         if not result.get("ok") and n_attempts <= config.max_retries and cell is not None:
             stats["retries"] += 1
             prior_attempts.setdefault(index, []).append(
@@ -358,13 +312,6 @@ def run_stealing(
             )
             due = time.monotonic() + config.retry_backoff * (2 ** (n_attempts - 1))
             heapq.heappush(delayed, (due, -cost_model.estimate(cell.app, cell.nranks), index, cell))
-            log.warning(
-                "cell_retry",
-                cell=key,
-                worker=slot.worker_id,
-                attempt=n_attempts,
-                error=result.get("error"),
-            )
         else:
             result = dict(result)
             result["attempts"] = n_attempts
@@ -374,19 +321,8 @@ def run_stealing(
             completed[index] = result
             slot.tasks_done += 1
             if result.get("ok") and journal is not None:
+                key = f"{result['app']}_p{result['nranks']}"
                 journal.record_done(index, key, n_attempts, result)
-            if index in speculated:
-                if mitigator is not None:
-                    mitigator.stats["speculation_wins"] += 1
-                # Kill any still-running duplicate of this cell: its result
-                # is redundant, and cache writes are atomic, so a SIGKILL
-                # mid-cell can never publish a torn artifact.
-                for other in list(slots.values()):
-                    if other is not slot and other.busy is not None and other.busy[0] == index:
-                        other.busy = None
-                        if mitigator is not None:
-                            mitigator.stats["speculation_losses"] += 1
-                        retire(other)
         if obs is not None and obs.enabled:
             obs.metrics.counter("sched.tasks_finished").inc()
             obs.tracer.emit_event(
@@ -402,38 +338,12 @@ def run_stealing(
 
     def handle_lost_worker(slot: _WorkerSlot, reason: str) -> None:
         stats["workers_lost"] += 1
-        log.error(
-            "worker_lost",
-            worker=slot.worker_id,
-            cell=f"{slot.busy[1].app}_p{slot.busy[1].nranks}" if slot.busy else None,
-            reason=reason,
-        )
         if slot.busy is not None:
             index, cell = slot.busy
             slot.busy = None
-            if index in completed:
-                # Lost worker was a speculation loser; nothing to recover.
-                if mitigator is not None:
-                    mitigator.stats["speculation_losses"] += 1
-                retire(slot)
-                return
-            if running_elsewhere(index):
-                # The cell's speculative duplicate is still alive and will
-                # deliver the result; no re-dispatch needed.
-                prior_attempts.setdefault(index, []).append(
-                    {"attempt": attempts.get(index, 1), "events": [], "error": reason}
-                )
-                retire(slot)
-                return
             stats["redispatches"] += 1
             prior_attempts.setdefault(index, []).append(
                 {"attempt": attempts.get(index, 1), "events": [], "error": reason}
-            )
-            log.warning(
-                "cell_redispatch",
-                cell=f"{cell.app}_p{cell.nranks}",
-                attempt=attempts.get(index, 1),
-                reason=reason,
             )
             if attempts.get(index, 1) <= config.max_retries:
                 # Crash re-dispatch goes straight back onto the queue: the
@@ -488,52 +398,6 @@ def run_stealing(
                     elif kind == "result":
                         handle_finished(slot, msg[1], msg[2])
 
-            if mitigator is not None:
-                now = time.monotonic()
-                for slot in list(slots.values()):
-                    if slot.busy is None:
-                        continue
-                    index, cell = slot.busy
-                    if index in speculated or index in completed:
-                        continue
-                    adv = mitigator.advise(cell.app, cell.nranks, now - slot.busy_since)
-                    if adv is None:
-                        continue
-                    if mitigator.should_reweight(cell.app):
-                        # Queued siblings of the flagged app jump the queue by
-                        # the observed overrun, so the slow family overlaps
-                        # with the rest of the sweep instead of trailing it.
-                        ratio = float(adv.get("ratio") or 1.0)
-                        touched = 0
-                        for i, (neg_cost, idx2, c2) in enumerate(pending):
-                            if c2.app == cell.app:
-                                pending[i] = (neg_cost * max(1.0, ratio), idx2, c2)
-                                touched += 1
-                        if touched:
-                            heapq.heapify(pending)
-                        mitigator.stats["reweighted_cells"] += touched
-                    target = next((s for s in slots.values() if s.busy is None), None)
-                    if target is None and len(slots) < config.workers:
-                        target = spawn_worker()
-                    if target is None:
-                        continue  # no capacity this tick; re-advised next tick
-                    attempts[index] = attempts.get(index, 1) + 1
-                    task = make_payload(cell, attempts[index])
-                    task["attempt"] = attempts[index]
-                    task["speculative"] = True
-                    try:
-                        target.conn.send(task)
-                    except (BrokenPipeError, OSError):
-                        attempts[index] -= 1
-                        continue
-                    speculated.add(index)
-                    target.had_task = True
-                    target.busy = (index, cell)
-                    target.busy_since = time.monotonic()
-                    target.last_beat = time.monotonic()
-                    stats["tasks_dispatched"] += 1
-                    mitigator.stats["speculative_dispatches"] += 1
-
             now = time.monotonic()
             for slot in list(slots.values()):
                 if not slot.proc.is_alive():
@@ -547,12 +411,6 @@ def run_stealing(
                     )
     finally:
         for slot in list(slots.values()):
-            # A worker still grinding through a speculation loser would
-            # stall the joins below for the full duplicate runtime; kill it
-            # (idempotent work, atomic cache writes — nothing is lost).
-            if slot.busy is not None and slot.busy[0] in completed:
-                slot.proc.kill()
-                continue
             try:
                 slot.conn.send(None)
             except (BrokenPipeError, OSError):
@@ -561,16 +419,10 @@ def run_stealing(
             slot.proc.join(timeout=2.0)
             retire(slot)
 
-    if mitigator is not None:
-        stats["mitigation"] = dict(mitigator.stats)
-
     if obs is not None and obs.enabled:
         for key in ("steals", "retries", "redispatches", "tasks_dispatched"):
             obs.metrics.counter(f"sched.{key}").inc(stats[key])
         obs.metrics.gauge("sched.max_queue_depth").set(stats["max_queue_depth"])
-        if mitigator is not None:
-            for key in ("advisories", "speculative_dispatches", "speculation_wins"):
-                obs.metrics.counter(f"sched.mitigation_{key}").inc(mitigator.stats[key])
 
     results = [completed[c.index] for c in cells]
     if journal is not None and all(r.get("ok") for r in results):
@@ -612,7 +464,6 @@ class CellRunner:
         execute_fn: Callable[[dict[str, Any]], dict[str, Any]],
         cost_model: CostModel | None = None,
         obs: Observability | None = None,
-        mitigator: Any = None,
     ) -> Iterable[dict[str, Any]]:
         """Run one batch; one raw result per cell, in cell order.
 
@@ -623,7 +474,7 @@ class CellRunner:
             return (execute_fn(make_payload(cell, 1)) for cell in cells)
         results, stats = run_stealing(
             cells, make_payload, execute_fn, self.config, cost_model=cost_model,
-            obs=obs, journal=self.journal, mitigator=mitigator,
+            obs=obs, journal=self.journal,
         )
         for key, value in stats.items():
             if key in _SUM_STATS:
@@ -643,16 +494,14 @@ def cell_runner(
     journal_dir: str | None = None,
     resume: str | None = None,
     run_id: str | None = None,
-    mitigate: bool = False,
     max_retries: int = 2,
     heartbeat_timeout: float = 30.0,
     retry_backoff: float = 0.05,
 ) -> CellRunner:
     """Decide how a run executes its cells, from the run's own inputs.
 
-    A run with ``workers <= 1`` and no ``journal_dir``, ``resume``,
-    ``run_id`` or ``mitigate`` runs in the calling process, in cell
-    order. Every other run goes through :func:`run_stealing` and
+    A run with ``workers <= 1`` and no ``journal_dir``, ``resume`` or
+    ``run_id`` runs in the calling process, in cell order. Every other run goes through :func:`run_stealing` and
     journals to ``journal_dir`` (default ``<cache_dir>/.sched_journal``);
     ``resume`` replays that journal, checked against ``fingerprint``.
     The choice changes where and when cells run, never what they
@@ -664,7 +513,7 @@ def cell_runner(
         heartbeat_timeout=heartbeat_timeout,
         retry_backoff=retry_backoff,
     )
-    if workers <= 1 and journal_dir is None and resume is None and run_id is None and not mitigate:
+    if workers <= 1 and journal_dir is None and resume is None and run_id is None:
         return CellRunner(config)
     journal = open_journal(fingerprint, cache_dir, journal_dir, resume, run_id)
     info = {"backend": "stealing", "run_id": journal.run_id, "resumed": resume is not None}

@@ -193,13 +193,6 @@ class AnalysisService:
             else Observability.disabled()
         )
         self._graft_lock = threading.Lock()
-
-        # Structured daemon log (rotating JSONL under <serve_dir>/logs).
-        from hfast.obs.logs import RotatingJsonlWriter, StructuredLogger
-
-        self.log = StructuredLogger(
-            RotatingJsonlWriter(root / "logs" / "daemon.jsonl")
-        ).bind(component="serve")
         self._heartbeat_task: asyncio.Task | None = None
 
         self._jobs: dict[str, Job] = {}
@@ -221,7 +214,6 @@ class AnalysisService:
             self._handle_connection, host=self.config.host, port=self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self.log.info("serve_start", host=self.config.host, port=self.port)
         if self.config.heartbeat_interval > 0:
             self._heartbeat_task = self._loop.create_task(self._heartbeat_loop())
         self._recover()
@@ -298,23 +290,12 @@ class AnalysisService:
             self._server = None
         self._trace_obs.tracer.flush()
         self._trace_obs.tracer.close()
-        self.log.info("serve_drained", jobs=len(self._jobs))
-        self.log.close()
 
     # -- admission (event-loop thread only) ---------------------------------
 
     def _admit_job(self, job: Job) -> None:
         self._jobs[job.job_id] = job
         self._active[job.key] = job
-        self.log.info(
-            "job_admitted",
-            job_id=job.job_id,
-            key=job.key,
-            run_id=job.run_id,
-            cell=job.spec.cell_key,
-            kind=job.kind,
-            recovered=job.recovered,
-        )
         self.ledger.write(job.doc())
         self._update_gauges()
         assert self._loop is not None
@@ -366,7 +347,6 @@ class AnalysisService:
         budget = self.config.max_running + self.config.queue_limit
         if len(self._active) >= budget:
             self.metrics.counter("serve.rejected_429").inc()
-            self.log.warning("job_rejected", cell=spec.cell_key, key=key, reason="budget")
             return (
                 429,
                 {"error": f"admission budget exhausted ({budget} jobs in flight)"},
@@ -402,10 +382,6 @@ class AnalysisService:
         self.ledger.write(job.doc())
         self._update_gauges()
         self.bus.publish({"event": "job_start", "job_id": job.job_id, "cell": job.spec.cell_key})
-        job_log = self.log.bind(
-            job_id=job.job_id, key=job.key, run_id=job.run_id, cell=job.spec.cell_key
-        )
-        job_log.info("job_start", kind=job.kind, recovered=job.recovered)
 
         keep_events = self._trace_obs.enabled
         job_obs = Observability(enabled=True, keep_events=keep_events)
@@ -480,10 +456,6 @@ class AnalysisService:
                 "wall_s": job.finished - (job.started or job.finished),
             }
         )
-        if job.error is not None:
-            job_log.error("job_failed", error=job.error, wall_s=round(job.finished - (job.started or job.finished), 6))
-        else:
-            job_log.info("job_done", wall_s=round(job.finished - (job.started or job.finished), 6))
 
     def _run_pipeline_once(self, job: Job, job_obs: Observability) -> dict[str, Any]:
         spec = job.spec

@@ -1,8 +1,8 @@
 """The executor selection rule of :func:`hfast.sched.cell_runner`.
 
-A run with one worker and no ``journal_dir``, ``resume``, ``run_id`` or
-``mitigate`` runs its cells in the calling process; every other run goes
-through the work-stealing scheduler and journals.
+A run with one worker and no ``journal_dir``, ``resume`` or ``run_id``
+runs its cells in the calling process; every other run goes through the
+work-stealing scheduler and journals.
 """
 
 import os
@@ -41,13 +41,12 @@ def test_two_workers_run_under_stealing(tmp_path):
     assert Path(sched["journal"]).parent == tmp_path / "c" / ".sched_journal"
 
 
-@pytest.mark.parametrize("given", ["journal_dir", "run_id", "resume", "mitigate"])
+@pytest.mark.parametrize("given", ["journal_dir", "run_id", "resume"])
 def test_journal_inputs_move_one_worker_onto_stealing(tmp_path, given):
     cache_dir = tmp_path / "c"
     kwargs = {
         "journal_dir": {"journal_dir": str(tmp_path / "j")},
         "run_id": {"run_id": "r-pinned"},
-        "mitigate": {"mitigate": True},
     }.get(given)
     if given == "resume":
         first, _ = run(cache_dir, workers=2)

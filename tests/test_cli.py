@@ -61,6 +61,17 @@ def test_analyze_unprofiled_writes_nothing(tmp_path, seed_cache, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_trace_out_alone_writes_no_report(tmp_path, seed_cache, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main([
+        "analyze", "--cache-dir", seed_cache, "--no-store", "--apps", "gtc",
+        "--scales", "16", "--trace-out", "trace.jsonl",
+    ])
+    assert rc == 0
+    assert (tmp_path / "trace.jsonl").is_file()
+    assert not (tmp_path / "reports").exists()
+
+
 def test_analyze_rejects_unknown_app(seed_cache, capsys):
     rc = main(["analyze", "--cache-dir", seed_cache, "--apps", "nosuch"])
     assert rc == 2
@@ -114,12 +125,16 @@ def test_apps_listing(seed_cache, capsys):
         ["serve", "--history-dir", "h"],
         ["serve", "--slo", "default"],
         ["obs", "history", "h"],
+        ["analyze", "--anomaly-threshold", "3"],
+        ["analyze", "--mitigate"],
+        ["analyze", "--log-out", "x.jsonl"],
     ],
     ids=[
         "analyze-matcher", "analyze-backend", "search-matchers", "search-backend",
         "analyze-scheduler", "search-scheduler", "serve-job-scheduler",
         "analyze-live", "analyze-metrics-port", "analyze-slo", "analyze-history-dir",
         "serve-history-dir", "serve-slo", "obs-subcommand",
+        "analyze-anomaly-threshold", "analyze-mitigate", "analyze-log-out",
     ],
 )
 def test_removed_implementation_flags_are_argparse_errors(argv, capsys):

@@ -82,7 +82,7 @@ FIXTURE_EVENTS = [
 
 def test_build_report_structure():
     report = build_report(FIXTURE_EVENTS)
-    assert report["report_version"] == 2
+    assert report["report_version"] == 3
     # last manifest wins, so cache stats are present
     assert report["manifest"]["cache"]["hits"] == 1
     assert len(report["runs"]) == 1
@@ -100,7 +100,6 @@ def test_build_report_structure():
     # The profile carries no inclusive share: nested stages overlap, so
     # only self time partitions the run.
     assert "pct" not in stages["matrix_reduce"]
-    assert report["anomalies"] == []
     assert "slo" not in report
 
 
@@ -190,9 +189,8 @@ def test_stage_profile_self_shares_partition_a_real_run(tmp_path):
 
 
 def test_report_ignores_event_kinds_it_no_longer_renders(tmp_path, capsys):
-    """A trace written before report version 2 can still carry
-    ``slo_status`` events; re-rendering it skips them, while its
-    ``anomaly`` events still render."""
+    """A trace written before report version 3 can still carry
+    ``slo_status`` and ``anomaly`` events; re-rendering it skips both."""
     trace = tmp_path / "old.jsonl"
     anomaly = {"event": "anomaly", "cell": "cactus_p8", "kind": "straggler",
                "wall_s": 3.0, "expected_s": 0.5, "ratio": 6.0, "attempts": 1}
@@ -206,10 +204,9 @@ def test_report_ignores_event_kinds_it_no_longer_renders(tmp_path, capsys):
     assert main(["report", "--trace", str(trace), "--report-dir", str(out)]) == 0
     capsys.readouterr()
     report = json.loads((out / "report.json").read_text())
-    assert report["report_version"] == 2
-    assert "slo" not in report
-    assert report == json.loads(json.dumps(build_report(FIXTURE_EVENTS + [anomaly])))
-    assert [a["cell"] for a in report["anomalies"]] == ["cactus_p8"]
+    assert report["report_version"] == 3
+    assert "slo" not in report and "anomalies" not in report
+    assert report == json.loads(json.dumps(build_report(FIXTURE_EVENTS)))
     md = (out / "report.md").read_text()
     assert "## cactus @ 8 ranks" in md
-    assert "## Anomalies" in md and "SLO" not in md
+    assert "## Anomalies" not in md and "SLO" not in md
